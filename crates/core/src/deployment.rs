@@ -470,11 +470,7 @@ impl Deployment {
             }
         }
         let warehouse = self.server.warehouse();
-        let readings: usize = warehouse
-            .probes_reporting()
-            .iter()
-            .map(|&p| warehouse.probe_series(p).len())
-            .sum();
+        let pairing = warehouse.pairing();
         let faults = self.metrics.fault_summary();
         DeploymentSummary {
             days: (self.now.saturating_since(self.start)).as_days_f64(),
@@ -486,9 +482,9 @@ impl Deployment {
             gprs_cost,
             probes_alive: self.probes_alive(),
             probes_deployed: self.probes.len(),
-            probe_readings_received: readings,
-            dgps_fixes: warehouse.differential_fixes().len(),
-            dgps_pairing_yield: warehouse.pairing_yield(),
+            probe_readings_received: warehouse.probe_reading_count(),
+            dgps_fixes: pairing.fixes.len(),
+            dgps_pairing_yield: pairing.yield_fraction(),
             base_energy_discharged: base_discharged,
             faults_injected: faults.injected,
             faults_recovered: faults.recovered,

@@ -42,6 +42,20 @@ fn snapshot_round_trips_through_bytes() {
 }
 
 #[test]
+fn streamed_snapshot_equals_the_tree_encoding() {
+    use serde::Serialize;
+    let mut fleet = Fleet::new(FleetConfig::new(3, 12).seed(2008).storms(2.0, 24.0)).unwrap();
+    for days in [0, 1, 30] {
+        fleet.run_days(days);
+        let state = fleet.snapshot();
+        assert!(
+            to_bytes(&state) == to_bytes(&state.to_value()),
+            "after {days} more days: streamed fleet snapshot differs from the tree encoding"
+        );
+    }
+}
+
+#[test]
 fn restore_rejects_wrong_site_count() {
     let mut fleet = Fleet::new(config()).unwrap();
     fleet.run_days(1);

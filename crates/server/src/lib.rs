@@ -30,4 +30,4 @@ mod warehouse;
 pub use commands::CommandDesk;
 pub use server::SouthamptonServer;
 pub use state_sync::StateSync;
-pub use warehouse::{DgpsFix, Warehouse};
+pub use warehouse::{DgpsFix, GpsRecord, Pairing, Warehouse};

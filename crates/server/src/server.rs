@@ -95,11 +95,11 @@ impl SouthamptonServer {
         out.push_str(&format!(
             "warehouse: {items} items, {sensors} sensor samples, {logs} logs ({log_bytes})\n"
         ));
-        let fixes = self.warehouse.differential_fixes();
+        let pairing = self.warehouse.pairing();
         out.push_str(&format!(
             "dGPS: {} fixes, pairing yield {:.0}%\n",
-            fixes.len(),
-            self.warehouse.pairing_yield() * 100.0
+            pairing.fixes.len(),
+            pairing.yield_fraction() * 100.0
         ));
         for probe in self.warehouse.probes_reporting() {
             let series = self.warehouse.conductivity_series(probe);

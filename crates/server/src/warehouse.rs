@@ -36,6 +36,26 @@ pub struct DgpsFix {
     pub position_m: f64,
 }
 
+/// The outcome of one dGPS pairing pass ([`Warehouse::pairing`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pairing {
+    /// The differential fixes, in base-reading time order.
+    pub fixes: Vec<DgpsFix>,
+    /// Base readings the fixes were paired from.
+    pub base_readings: usize,
+}
+
+impl Pairing {
+    /// Fraction of base readings that could be differentially corrected
+    /// (0 when there are none).
+    pub fn yield_fraction(&self) -> f64 {
+        if self.base_readings == 0 {
+            return 0.0;
+        }
+        self.fixes.len() as f64 / self.base_readings as f64
+    }
+}
+
 /// Everything received from the field.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Warehouse {
@@ -98,21 +118,50 @@ impl Warehouse {
     /// midnight, or a reference in a lower power state whose sparse
     /// schedule drifts against the base's), the smaller skew gives the
     /// better common-mode cancellation. Ties break toward the earlier
-    /// reference so the choice is deterministic. A reference reading may
-    /// serve several base readings (a reference held in state 1 takes one
+    /// reference, then toward the first ingested among equal timestamps,
+    /// so the choice is deterministic. A reference reading may serve
+    /// several base readings (a reference held in state 1 takes one
     /// reading a day; every base reading within tolerance of it still
     /// corrects against it).
     pub fn differential_fixes(&self) -> Vec<DgpsFix> {
+        self.pairing().fixes
+    }
+
+    /// The fixes of [`Warehouse::differential_fixes`] together with the
+    /// number of base readings they were paired from, in one pass.
+    ///
+    /// Both sides come time-sorted (stably, so equal timestamps keep their
+    /// ingest order), which makes this a two-pointer walk: `lo` is the
+    /// first reference not too early for the current base reading, and
+    /// only moves forward. From there the skew shrinks up to the base
+    /// reading's own instant and grows after it, so the scan stops at the
+    /// first reference at or past that instant. A strict `<` keeps the
+    /// first of equally near references, which is the tie-break above.
+    pub fn pairing(&self) -> Pairing {
         let base = self.gps_records(StationId::Base);
         let reference = self.gps_records(StationId::Reference);
         let mut fixes = Vec::new();
-        for b in base {
-            let paired = reference
-                .iter()
-                .map(|r| (Self::pairing_skew(b, r), r))
-                .filter(|&(skew, _)| skew <= Self::PAIRING_TOLERANCE)
-                .min_by_key(|&(skew, r)| (skew, r.taken_at));
-            if let Some((_, r)) = paired {
+        let mut lo = 0;
+        for b in &base {
+            while reference.get(lo).is_some_and(|r| {
+                r.taken_at < b.taken_at && Self::pairing_skew(b, r) > Self::PAIRING_TOLERANCE
+            }) {
+                lo += 1;
+            }
+            let mut nearest: Option<(SimDuration, &GpsRecord)> = None;
+            for r in reference.iter().skip(lo) {
+                let skew = Self::pairing_skew(b, r);
+                if skew > Self::PAIRING_TOLERANCE {
+                    break;
+                }
+                if nearest.is_none_or(|(best, _)| skew < best) {
+                    nearest = Some((skew, r));
+                }
+                if r.taken_at >= b.taken_at {
+                    break;
+                }
+            }
+            if let Some((_, r)) = nearest {
                 // Differential correction: the reference knows its true
                 // position is 0, so its observed error corrects the base.
                 fixes.push(DgpsFix {
@@ -121,7 +170,10 @@ impl Warehouse {
                 });
             }
         }
-        fixes
+        Pairing {
+            fixes,
+            base_readings: base.len(),
+        }
     }
 
     /// Absolute skew between a base and a reference reading.
@@ -141,16 +193,17 @@ impl Warehouse {
     /// Fraction of base readings that could be differentially corrected —
     /// the figure of merit of the §III synchronisation design.
     pub fn pairing_yield(&self) -> f64 {
-        let base = self.gps_records(StationId::Base).len();
-        if base == 0 {
-            return 0.0;
-        }
-        self.differential_fixes().len() as f64 / base as f64
+        self.pairing().yield_fraction()
     }
 
     /// Probes that have delivered any data.
     pub fn probes_reporting(&self) -> Vec<ProbeId> {
         self.probe_readings.keys().copied().collect()
+    }
+
+    /// Readings received across all probes.
+    pub fn probe_reading_count(&self) -> usize {
+        self.probe_readings.values().map(Vec::len).sum()
     }
 
     /// All readings from one probe, time-ordered.

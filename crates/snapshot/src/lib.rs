@@ -15,6 +15,9 @@
 //! [`Serialize`]; floats travel as their IEEE-754 bit pattern so a
 //! round-trip is bit-identical, which is what lets a restored deployment
 //! replay the exact golden-hash trajectory of an uninterrupted run.
+//! [`to_bytes`] never builds that tree: the value streams its nodes
+//! ([`Serialize::stream_to`]) straight into the output buffer. Decoding
+//! does go through the tree, because every typed `Deserialize` reads one.
 //!
 //! Durability rules:
 //!
@@ -36,7 +39,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 
 /// File magic: identifies a Glacsweb snapshot regardless of extension.
 pub const MAGIC: [u8; 8] = *b"GLACSNAP";
@@ -58,6 +61,15 @@ pub const HEADER_LEN: usize = 24;
 /// Maximum nesting depth [`load`] will decode — far above any real
 /// deployment tree, low enough that a crafted file cannot blow the stack.
 const MAX_DEPTH: u32 = 128;
+
+/// Most elements a collection reserves before any of them has decoded.
+/// A count is only checked against the bytes that remain, which every
+/// level of a nested collection claims again, while a decoded element
+/// takes 32 (Seq) or 64 (Map) bytes against its 1 or 2 encoded ones.
+/// Without this cap a crafted file of nested collections reserves tens of
+/// GiB before the decoder finds it malformed; with it each level reserves
+/// at most 64 KiB and grows only as real elements arrive.
+const MAX_PREALLOC: usize = 1024;
 
 /// Why a snapshot could not be written or read back.
 #[derive(Debug)]
@@ -151,43 +163,71 @@ impl From<serde::de::Error> for SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven; the polynomial everyone's `cksum`
+// CRC-32 (IEEE 802.3), slicing-by-8; the polynomial everyone's `cksum`
 // agrees on, so a snapshot can be sanity-checked outside this crate.
 
-/// CRC-32 (IEEE) of `bytes`.
-// Indexing and casts below are bounded by construction (i < 256, masked
-// idx) and the table initializer runs at compile time; see the inline
-// ledger entries.
-#[allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // const-evaluated once; no runtime table-build cost per call site.
-    const TABLE: [u32; 256] = {
-        // `crc32_table` is not const-callable on this toolchain floor, so
-        // inline the same loop in const context.
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            // glacsweb: allow(panic-freedom, reason = "i < 256 by the loop bound; evaluated at compile time, so an out-of-range index is a build error, not a runtime panic")
-            table[i] = crc;
-            i += 1;
+/// Feeds one zero byte through the CRC register, a bit at a time.
+const fn zero_byte(mut crc: u32) -> u32 {
+    let mut bit = 0;
+    while bit < 8 {
+        crc = if crc & 1 != 0 {
+            (crc >> 1) ^ 0xEDB8_8320
+        } else {
+            crc >> 1
+        };
+        bit += 1;
+    }
+    crc
+}
+
+/// Slicing-by-8 tables, built at compile time. `CRC_TABLES[0]` is the
+/// classic bytewise table; `CRC_TABLES[k][b]` is the register after byte
+/// `b` and then `k` zero bytes, so eight lookups fold a whole 8-byte word.
+#[allow(clippy::indexing_slicing)]
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b: u32 = 0;
+    while b < 256 {
+        let mut crc = zero_byte(b);
+        let mut k = 0;
+        while k < 8 {
+            // glacsweb: allow(panic-freedom, reason = "k < 8 and b < 256 by the loop bounds; evaluated at compile time, so an out-of-range index is a build error, not a runtime panic")
+            tables[k][b as usize] = crc;
+            crc = zero_byte(crc);
+            k += 1;
         }
-        table
-    };
+        b += 1;
+    }
+    tables
+};
+
+/// One table lookup; a `u8` always indexes inside a 256-entry table.
+#[inline(always)]
+#[allow(clippy::indexing_slicing)]
+fn lookup(table: &[u32; 256], byte: u8) -> u32 {
+    // glacsweb: allow(panic-freedom, reason = "a u8 index is below 256, the table length")
+    table[usize::from(byte)]
+}
+
+/// CRC-32 (IEEE) of `bytes`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let (words, tail) = bytes.as_chunks::<8>();
     let mut crc = u32::MAX;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        // glacsweb: allow(panic-freedom, reason = "idx is masked & 0xFF on the line above; TABLE has exactly 256 entries")
-        crc = (crc >> 8) ^ TABLE[idx];
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let [x0, x1, x2, x3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        crc = lookup(t7, x0)
+            ^ lookup(t6, x1)
+            ^ lookup(t5, x2)
+            ^ lookup(t4, x3)
+            ^ lookup(t3, b4)
+            ^ lookup(t2, b5)
+            ^ lookup(t1, b6)
+            ^ lookup(t0, b7);
+    }
+    for &b in tail {
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ lookup(t0, low ^ b);
     }
     crc ^ u32::MAX
 }
@@ -208,43 +248,42 @@ const TAG_STR: u8 = 6;
 const TAG_SEQ: u8 = 7;
 const TAG_MAP: u8 = 8;
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::I64(x) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::U64(x) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-            for (k, val) in entries {
-                encode_value(k, out);
-                encode_value(val, out);
-            }
-        }
+/// Appends the binary encoding of each streamed [`Value`] node.
+struct Encoder<'a>(&'a mut Vec<u8>);
+
+impl Encoder<'_> {
+    /// A tag byte followed by one little-endian 8-byte word.
+    fn tagged(&mut self, tag: u8, word: u64) {
+        let [a, b, c, d, e, f, g, h] = word.to_le_bytes();
+        self.0.extend_from_slice(&[tag, a, b, c, d, e, f, g, h]);
+    }
+}
+
+impl Sink for Encoder<'_> {
+    fn null(&mut self) {
+        self.0.push(TAG_NULL);
+    }
+    fn bool(&mut self, v: bool) {
+        self.0.push(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+    fn i64(&mut self, v: i64) {
+        self.tagged(TAG_I64, v.cast_unsigned());
+    }
+    fn u64(&mut self, v: u64) {
+        self.tagged(TAG_U64, v);
+    }
+    fn f64(&mut self, v: f64) {
+        self.tagged(TAG_F64, v.to_bits());
+    }
+    fn str(&mut self, v: &str) {
+        self.tagged(TAG_STR, v.len() as u64);
+        self.0.extend_from_slice(v.as_bytes());
+    }
+    fn seq(&mut self, len: usize) {
+        self.tagged(TAG_SEQ, len as u64);
+    }
+    fn map(&mut self, len: usize) {
+        self.tagged(TAG_MAP, len as u64);
     }
 }
 
@@ -288,12 +327,13 @@ impl<'a> Cursor<'a> {
     }
 
     /// A collection length, validated against the bytes that remain: every
-    /// element costs at least one tag byte, so a count beyond the residue
-    /// is corrupt — reject it *before* allocating.
-    fn take_len(&mut self) -> Result<usize, SnapshotError> {
+    /// element costs at least `min_bytes` (one tag byte per Seq item or
+    /// string byte, two per Map entry), so a count beyond the residue is
+    /// corrupt — reject it *before* allocating.
+    fn take_len(&mut self, min_bytes: u64) -> Result<usize, SnapshotError> {
         let n = self.take_u64()?;
         let remaining = (self.buf.len() - self.pos) as u64;
-        if n > remaining {
+        if n.saturating_mul(min_bytes) > remaining {
             return Err(SnapshotError::malformed(format!(
                 "collection claims {n} elements but only {remaining} payload bytes remain"
             )));
@@ -323,23 +363,23 @@ fn decode_value(c: &mut Cursor<'_>, depth: u32) -> Result<Value, SnapshotError> 
         TAG_U64 => Ok(Value::U64(c.take_u64()?)),
         TAG_F64 => Ok(Value::F64(f64::from_bits(c.take_u64()?))),
         TAG_STR => {
-            let len = c.take_len()?;
+            let len = c.take_len(1)?;
             let bytes = c.take(len)?;
             let s = std::str::from_utf8(bytes)
                 .map_err(|e| SnapshotError::malformed(format!("string is not UTF-8: {e}")))?;
             Ok(Value::Str(s.to_string()))
         }
         TAG_SEQ => {
-            let len = c.take_len()?;
-            let mut items = Vec::with_capacity(len);
+            let len = c.take_len(1)?;
+            let mut items = Vec::with_capacity(len.min(MAX_PREALLOC));
             for _ in 0..len {
                 items.push(decode_value(c, depth + 1)?);
             }
             Ok(Value::Seq(items))
         }
         TAG_MAP => {
-            let len = c.take_len()?;
-            let mut entries = Vec::with_capacity(len);
+            let len = c.take_len(2)?;
+            let mut entries = Vec::with_capacity(len.min(MAX_PREALLOC));
             for _ in 0..len {
                 let k = decode_value(c, depth + 1)?;
                 let v = decode_value(c, depth + 1)?;
@@ -359,15 +399,23 @@ fn decode_value(c: &mut Cursor<'_>, depth: u32) -> Result<Value, SnapshotError> 
 
 /// Serializes `value` into a complete snapshot byte stream (header +
 /// checksummed payload).
-pub fn to_bytes<T: Serialize>(value: &T) -> Vec<u8> {
-    let mut payload = Vec::new();
-    encode_value(&value.to_value(), &mut payload);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+///
+/// One buffer: the header goes in with zeroed length and CRC fields, the
+/// payload streams in behind it straight from `value` (no intermediate
+/// [`Value`] tree), and the two fields are patched once it is complete.
+pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0; 12]);
+    value.stream_to(&mut Encoder(&mut out));
+    let payload = out.get(HEADER_LEN..).unwrap_or_default();
+    let len = (payload.len() as u64).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    let fields = len.into_iter().chain(crc);
+    for (slot, byte) in out.iter_mut().skip(MAGIC.len() + 4).zip(fields) {
+        *slot = byte;
+    }
     out
 }
 
@@ -505,26 +553,20 @@ mod tests {
     use super::*;
     use serde::de;
 
-    /// Reference CRC table builder; documents the `TABLE` initializer in
-    /// [`crc32`] and must stay in sync with it.
-    fn crc32_table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
+    /// Reference CRC-32: one byte at a time, each folded in bit by bit.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
                 crc = if crc & 1 != 0 {
                     (crc >> 1) ^ 0xEDB8_8320
                 } else {
                     crc >> 1
                 };
-                bit += 1;
             }
-            table[i] = crc;
-            i += 1;
         }
-        table
+        crc ^ u32::MAX
     }
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -703,18 +745,29 @@ mod tests {
     }
 
     #[test]
-    fn dead_table_builder_matches_const_table() {
-        // `crc32_table` documents the TABLE initializer; keep them in sync.
-        let table = crc32_table();
-        let mut probe = Vec::new();
-        for i in 0..=255u8 {
-            probe.push(i);
+    fn slicing_by_8_matches_the_bytewise_reference() {
+        // Every length through two full 8-byte words past a 256-byte
+        // block, at every alignment, so both the word loop and the tail
+        // loop see every split.
+        let data: Vec<u8> = (0..(257 + 8) as u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=257 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset}, length {len}"
+                );
+            }
         }
-        let mut crc = u32::MAX;
-        for &b in &probe {
-            let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-            crc = (crc >> 8) ^ table[idx];
-        }
-        assert_eq!(crc ^ u32::MAX, crc32(&probe));
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
     }
 }
