@@ -95,6 +95,12 @@ impl Deserialize for Environment {
     }
 }
 
+/// The tail of the clear-sky chain after `sin el`, in the model's exact
+/// operation order: `asin → degrees → radians → sin → max(0)`.
+fn elevation_chain(sin_el: f64) -> f64 {
+    sin_el.asin().to_degrees().to_radians().sin().max(0.0)
+}
+
 impl Environment {
     /// Creates an environment from a configuration and a master seed.
     ///
@@ -208,6 +214,15 @@ impl Environment {
     /// as the un-memoised model, so the result carries identical bits —
     /// the power rail calls this every 60 s substep, so it is the
     /// hottest transcendental path in the kernel.
+    ///
+    /// Night short-circuit: for a strictly negative `sin el` every link
+    /// of the chain keeps the sign (`asin` of `[-1, 0)` is negative, the
+    /// two scalings by positive constants cannot round a finite
+    /// non-zero value to zero at these magnitudes, and `sin` of a value
+    /// in `(-π/2, 0)` is negative), so `max(0.0)` returns `+0.0` — the
+    /// value returned here without the four calls. `sin el` below `-1`
+    /// makes `asin` return NaN, which `max` also maps to `+0.0`. The test
+    /// is a strict `<`, so `±0.0` still takes the full chain.
     fn clear_sky_fraction(&self, t: SimTime) -> f64 {
         let (a, b) = self.solar_day.get_or(t.unix() / 86_400, || {
             let doy = f64::from(t.day_of_year());
@@ -220,7 +235,10 @@ impl Environment {
             (15.0 * (t.hour_of_day_f64() - 12.0)).to_radians().cos()
         });
         let sin_el = a + b * cos_h;
-        sin_el.asin().to_degrees().to_radians().sin().max(0.0)
+        if sin_el < 0.0 {
+            return 0.0;
+        }
+        elevation_chain(sin_el)
     }
 
     /// Fraction of the solar panel's rated output available now, in
@@ -229,6 +247,12 @@ impl Environment {
         self.clear_sky_fraction(t)
             * self.cloud_factor
             * self.snow.burial_factor(self.config.panel_burial_depth_m)
+    }
+
+    /// Cloud transmission factor in `[0.05, 1]`: the middle factor of
+    /// [`Environment::solar_factor`].
+    pub fn cloud_factor(&self) -> f64 {
+        self.cloud_factor
     }
 
     /// Wind speed at hub height, m/s, derated for generator burial.
@@ -405,6 +429,43 @@ mod tests {
             // Second call takes the hit path — same bits again.
             assert_eq!(e.clear_sky_fraction(t).to_bits(), memoised.to_bits());
         }
+    }
+
+    proptest::proptest! {
+        /// The night short-circuit's claim: whenever `sin el = a + b·cos H`
+        /// is strictly negative, the full chain returns exactly `+0.0`.
+        /// `a = sin φ·sin δ` and `cos H` span `[-1, 1]`, `b = cos φ·cos δ`
+        /// spans `[0, 1]`; the scale factor also drives `sin el` down to
+        /// the subnormal range, where rounding is most likely to lose the
+        /// sign.
+        #[test]
+        fn night_chain_returns_positive_zero(
+            a in -1.0f64..1.0,
+            b in 0.0f64..1.0,
+            cos_h in -1.0f64..1.0,
+            scale in -1074i32..0,
+        ) {
+            for sin_el in [a + b * cos_h, (a + b * cos_h) * 2f64.powi(scale)] {
+                if sin_el < 0.0 {
+                    proptest::prop_assert_eq!(elevation_chain(sin_el).to_bits(), 0.0f64.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn night_chain_edges() {
+        let tiny = f64::from_bits(1); // smallest subnormal
+        for sin_el in [-1.0, -1.0 - f64::EPSILON, -0.5, -f64::MIN_POSITIVE, -tiny] {
+            assert_eq!(
+                elevation_chain(sin_el).to_bits(),
+                0.0f64.to_bits(),
+                "{sin_el:e}"
+            );
+        }
+        // ±0.0 is not short-circuited and keeps the full chain's answer.
+        assert_eq!(elevation_chain(0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(elevation_chain(-0.0), 0.0);
     }
 
     #[test]

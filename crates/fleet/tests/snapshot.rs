@@ -56,6 +56,24 @@ fn streamed_snapshot_equals_the_tree_encoding() {
 }
 
 #[test]
+fn streamed_decode_equals_the_tree_decode() {
+    use glacsweb_fleet::FleetState;
+    use serde::{Deserialize, Value};
+    let mut fleet = Fleet::new(FleetConfig::new(3, 12).seed(2008).storms(2.0, 24.0)).unwrap();
+    for days in [0, 1, 30] {
+        fleet.run_days(days);
+        let bytes = to_bytes(&fleet.snapshot());
+        let streamed: FleetState = from_bytes(&bytes).unwrap();
+        let tree: Value = from_bytes(&bytes).unwrap();
+        let from_tree = FleetState::from_value(&tree).unwrap();
+        assert!(
+            to_bytes(&streamed) == bytes && to_bytes(&from_tree) == bytes,
+            "after {days} more days: streamed and tree decodes of the fleet snapshot differ"
+        );
+    }
+}
+
+#[test]
 fn restore_rejects_wrong_site_count() {
     let mut fleet = Fleet::new(config()).unwrap();
     fleet.run_days(1);

@@ -124,8 +124,10 @@ impl LeadAcidBattery {
 
     /// The terminal-voltage curve at the current state of charge.
     ///
-    /// The charge controller's taper solver evaluates the terminal
-    /// voltage ~26 times per substep at a *fixed* state of charge; the
+    /// The charge controller's taper solve evaluates the terminal voltage
+    /// 2–3 times per substep at a *fixed* state of charge (the untapered
+    /// check, then the two grid-point predicates of the closed-form fast
+    /// path; 24 more on a bisection fallback); the
     /// curve hoists the SoC-dependent terms (open-circuit voltage and
     /// absorption gain) so each evaluation is a handful of flops. The
     /// hoisted terms are whole subexpressions of the original formula,

@@ -151,6 +151,20 @@ impl Charger {
         }
     }
 
+    /// `true` if the output can change within one civil day while the
+    /// environment stands still.
+    ///
+    /// Only the panel follows the clock (solar elevation). Wind output is
+    /// the day-memoised seasonal mean plus the gust deviation, derated by
+    /// burial; mains output follows the café month. Both of those read
+    /// `t` only through its civil day, and everything else they read is
+    /// environment state, which only `Environment::advance_to` changes.
+    /// [`PowerRail::advance`](crate::PowerRail::advance) relies on this to
+    /// evaluate wind and mains once per day per call.
+    pub fn varies_within_day(&self) -> bool {
+        matches!(self, Charger::Solar(_))
+    }
+
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Memo of the total switched-on draw, invalidated by every mutation of
 /// the on/off pattern. A hit returns the exact `Watts` the last full
 /// re-sum produced — the sum is always recomputed whole (same values,
-/// same `BTreeMap` order), never adjusted incrementally, so the cached
+/// same name order), never adjusted incrementally, so the cached
 /// bits equal a fresh evaluation's. Derived state: invisible to
 /// equality and skipped by serde.
 #[derive(Debug, Clone, Default)]
@@ -47,27 +47,51 @@ impl PartialEq for TotalCache {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadSet {
-    loads: BTreeMap<String, Load>,
+    /// The devices, sorted by name with no duplicates — the order the
+    /// map this replaced iterated in, so sums and snapshots fold the same
+    /// values in the same order. A station registers six devices, so the
+    /// rail's per-substep `meter` walks one flat slice, and a lookup by
+    /// name is a scan of six entries.
+    loads: Vec<(String, Load)>,
     total: TotalCache,
 }
 
 // Hand-written (de)serialization: the total-power memo is derived state
 // and must not appear on the wire, and the vendored serde derive has no
-// `#[serde(skip)]` — so serialize exactly the shape the old derive
-// produced (a map with the single `loads` field).
+// `#[serde(skip)]`. The wire shape is the one the derive produced when
+// the devices lived in a `BTreeMap<String, Load>`: a map with the single
+// `loads` field holding a name-keyed map. Restore goes through that map,
+// so it keeps its duplicate-key and error behaviour.
 impl Serialize for LoadSet {
     fn to_value(&self) -> serde::Value {
+        let loads = self
+            .loads
+            .iter()
+            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
+            .map(|(name, l)| (serde::Value::Str(name.clone()), l.to_value()))
+            .collect();
         serde::Value::Map(vec![(
             serde::Value::Str(String::from("loads")),
-            self.loads.to_value(),
+            serde::Value::Map(loads),
         )])
+    }
+
+    fn stream_to<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.map(1);
+        sink.str("loads");
+        sink.map(self.loads.len());
+        for (name, l) in &self.loads {
+            sink.str(name);
+            l.stream_to(sink);
+        }
     }
 }
 
 impl Deserialize for LoadSet {
     fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
+        let loads: BTreeMap<String, Load> = serde::de::field(v, "loads")?;
         Ok(LoadSet {
-            loads: serde::de::field(v, "loads")?,
+            loads: loads.into_iter().collect(),
             total: TotalCache::default(),
         })
     }
@@ -107,17 +131,22 @@ impl LoadSet {
     pub fn add(&mut self, name: impl Into<String>, power: Watts) {
         let name = name.into();
         assert!(power.value() >= 0.0, "load power must be non-negative");
-        let prev = self.loads.insert(
-            // glacsweb: allow(perf-hygiene, reason = "device registration happens once at station wiring, never per substep")
-            name.clone(),
-            Load {
-                power,
-                on: false,
-                energy: WattHours::ZERO,
-            },
-        );
-        assert!(prev.is_none(), "duplicate load {name:?}");
+        let found = self
+            .loads
+            .binary_search_by(|(n, _)| n.as_str().cmp(name.as_str()));
+        assert!(found.is_err(), "duplicate load {name:?}");
+        let (Ok(at) | Err(at)) = found;
+        let load = Load {
+            power,
+            on: false,
+            energy: WattHours::ZERO,
+        };
+        self.loads.insert(at, (name, load));
         self.total.0.set(None);
+    }
+
+    fn get(&self, name: &str) -> Option<&Load> {
+        self.loads.iter().find(|(n, _)| n == name).map(|(_, l)| l)
     }
 
     /// Switches a device rail on or off.
@@ -129,7 +158,9 @@ impl LoadSet {
     pub fn set_on(&mut self, name: &str, on: bool) {
         let load = self
             .loads
-            .get_mut(name)
+            .iter_mut()
+            .find(|(n, _)| n == name)
+            .map(|(_, l)| l)
             // glacsweb: allow(panic-freedom, reason = "load names are compile-time constants (station::loads); switching an unregistered rail is a wiring bug the simulation must not paper over")
             .unwrap_or_else(|| panic!("unknown load {name:?}"));
         if load.on != on {
@@ -144,8 +175,7 @@ impl LoadSet {
     ///
     /// Panics if the device is unknown.
     pub fn is_on(&self, name: &str) -> bool {
-        self.loads
-            .get(name)
+        self.get(name)
             // glacsweb: allow(panic-freedom, reason = "load names are compile-time constants (station::loads); querying an unregistered rail is a wiring bug the simulation must not paper over")
             .unwrap_or_else(|| panic!("unknown load {name:?}"))
             .on
@@ -160,7 +190,12 @@ impl LoadSet {
         if let Some(total) = self.total.0.get() {
             return total;
         }
-        let total = self.loads.values().filter(|l| l.on).map(|l| l.power).sum();
+        let total = self
+            .loads
+            .iter()
+            .filter(|(_, l)| l.on)
+            .map(|(_, l)| l.power)
+            .sum();
         self.total.0.set(Some(total));
         total
     }
@@ -168,7 +203,7 @@ impl LoadSet {
     /// Accumulates per-device energy for a period during which the on/off
     /// pattern did not change.
     pub fn meter(&mut self, dt: SimDuration) {
-        for load in self.loads.values_mut() {
+        for (_, load) in &mut self.loads {
             if load.on {
                 load.energy += load.power.over(dt);
             }
@@ -177,12 +212,12 @@ impl LoadSet {
 
     /// Lifetime energy of one device, or `None` if unknown.
     pub fn energy(&self, name: &str) -> Option<WattHours> {
-        self.loads.get(name).map(|l| l.energy)
+        self.get(name).map(|l| l.energy)
     }
 
     /// Lifetime energy of every device combined.
     pub fn total_energy(&self) -> WattHours {
-        self.loads.values().map(|l| l.energy).sum()
+        self.loads.iter().map(|(_, l)| l.energy).sum()
     }
 
     /// Snapshot of every registered device, sorted by name.
@@ -211,7 +246,7 @@ impl LoadSet {
 
     /// Switches every device off (the watchdog's end-of-window action).
     pub fn all_off(&mut self) {
-        for load in self.loads.values_mut() {
+        for (_, load) in &mut self.loads {
             load.on = false;
         }
         self.total.0.set(None);
@@ -287,7 +322,7 @@ mod tests {
         ]
         .into_iter()
         .sum();
-        // BTreeMap order: gps before gumstix.
+        // Name order: gps before gumstix.
         assert_eq!(l.total_power().value().to_bits(), fresh.value().to_bits());
         // Hit path returns the same bits.
         assert_eq!(l.total_power().value().to_bits(), fresh.value().to_bits());

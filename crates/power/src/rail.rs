@@ -61,10 +61,11 @@ pub struct PowerRail {
     /// Seconds of brown-out (load demanded but battery empty).
     brownout_secs: u64,
     /// Scratch buffer of per-charger outputs for the current sub-step,
-    /// aligned with `chargers` — lets `advance` evaluate each charger
-    /// once per sub-step instead of three times (taper input, harvest
-    /// total, per-source apportionment). Derived state, reused to avoid
-    /// per-step allocation.
+    /// aligned with `chargers` — feeds the taper input, the harvest total
+    /// and the per-source apportionment from one evaluation, and carries
+    /// the day-constant outputs from sub-step to sub-step within one
+    /// `advance` call. Derived state, reused to avoid per-step
+    /// allocation.
     output_buf: Vec<f64>,
     /// Single-entry memo of the last taper solve (see [`TaperMemo`]).
     taper: TaperMemo,
@@ -243,7 +244,9 @@ impl PowerRail {
     /// The taper solve for a pre-summed raw charger output.
     ///
     /// The battery's state of charge is fixed for the whole solve, so
-    /// the ~26 terminal-voltage evaluations run on the hoisted
+    /// its 2–3 terminal-voltage evaluations (the untapered check, then
+    /// the two grid-point predicates of the closed-form fast path; 24
+    /// more on a bisection fallback) run on the hoisted
     /// [`VoltageCurve`](crate::VoltageCurve) — bit-identical to calling
     /// `battery.terminal_voltage` each time.
     fn tapered_charge(&self, raw: Watts) -> Watts {
@@ -373,20 +376,33 @@ impl PowerRail {
     /// load on/off pattern is assumed constant over the span — callers
     /// advance the rail *before* switching rails at an event, which is how
     /// the event loop in `glacsweb::Deployment` uses it.
+    ///
+    /// `env` is borrowed immutably for the whole call, so the chargers
+    /// whose output reads the clock only through the civil day (wind and
+    /// mains, see [`Charger::varies_within_day`]) are evaluated once per
+    /// day seen in the call; the panel is evaluated every sub-step. Each
+    /// output is the value a fresh evaluation would return, and the
+    /// buffer is summed in charger order as before, so every downstream
+    /// quantity carries identical bits.
     pub fn advance(&mut self, env: &Environment, t: SimTime) {
+        let mut memo_day = None;
         while self.now < t {
-            let dt = (t - self.now).min(Self::STEP);
-            let temp = Celsius(env.temperature_c(self.now));
-            // One charger evaluation per sub-step: the buffered outputs
-            // feed the taper solve, the harvest total and the per-source
-            // apportionment (previously three evaluations each). Summing
-            // the buffer folds the same values in the same order as
-            // summing the charger iterator directly, so every downstream
-            // quantity carries identical bits.
-            self.output_buf.clear();
             let now = self.now;
-            self.output_buf
-                .extend(self.chargers.iter().map(|c| c.output(env, now).value()));
+            let dt = (t - now).min(Self::STEP);
+            let temp = Celsius(env.temperature_c(now));
+            let day = now.unix() / 86_400;
+            if memo_day == Some(day) {
+                for (out, c) in self.output_buf.iter_mut().zip(&self.chargers) {
+                    if c.varies_within_day() {
+                        *out = c.output(env, now).value();
+                    }
+                }
+            } else {
+                memo_day = Some(day);
+                self.output_buf.clear();
+                self.output_buf
+                    .extend(self.chargers.iter().map(|c| c.output(env, now).value()));
+            }
             let raw_watts: Watts = self.output_buf.iter().map(|&w| Watts(w)).sum();
             let charge = self.tapered_charge(raw_watts);
             let load = self.loads.total_power();

@@ -15,9 +15,10 @@
 //! [`Serialize`]; floats travel as their IEEE-754 bit pattern so a
 //! round-trip is bit-identical, which is what lets a restored deployment
 //! replay the exact golden-hash trajectory of an uninterrupted run.
-//! [`to_bytes`] never builds that tree: the value streams its nodes
-//! ([`Serialize::stream_to`]) straight into the output buffer. Decoding
-//! does go through the tree, because every typed `Deserialize` reads one.
+//! Neither direction builds that tree: [`to_bytes`] streams the value's
+//! nodes ([`Serialize::stream_to`]) straight into the output buffer, and
+//! [`from_bytes`] pulls typed values straight out of the payload
+//! ([`Deserialize::stream_from`]) through a validating token reader.
 //!
 //! Durability rules:
 //!
@@ -39,7 +40,8 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::de::{self, Source, Token};
+use serde::{Deserialize, Serialize, Sink};
 
 /// File magic: identifies a Glacsweb snapshot regardless of extension.
 pub const MAGIC: [u8; 8] = *b"GLACSNAP";
@@ -47,9 +49,8 @@ pub const MAGIC: [u8; 8] = *b"GLACSNAP";
 /// Schema version this build writes and the newest it can read.
 ///
 /// Bump on any change to the payload layout. Readers accept any version
-/// `<= SCHEMA_VERSION` (older payloads decode through the `Value` tree,
-/// whose missing-field errors are typed, not panics) and reject newer
-/// ones outright.
+/// `<= SCHEMA_VERSION` (an older payload's missing fields are typed
+/// errors, not panics) and reject newer ones outright.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Suffix of the temporary sibling used by the atomic write.
@@ -287,49 +288,78 @@ impl Sink for Encoder<'_> {
     }
 }
 
-/// A bounds-checked cursor over the payload bytes.
-struct Cursor<'a> {
+/// A validating token reader over the payload bytes: the [`Source`]
+/// every typed decode pulls from.
+///
+/// It checks what the format demands of every node it reads — a known
+/// tag, lengths within the bytes that remain, UTF-8 strings, nesting at
+/// most [`MAX_DEPTH`] deep — and keeps the first violation: from then on
+/// every read fails, and [`Decoder::finish`] reports it as
+/// [`SnapshotError::Malformed`].
+struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Nodes still to come in each open container, innermost last (two
+    /// per map entry). A container stays until its last node is read,
+    /// so the length is the depth of the next token.
+    open: Vec<u64>,
+    /// The first structural fault.
+    fault: Option<SnapshotError>,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> Decoder<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Decoder {
+            buf,
+            pos: 0,
+            open: Vec::new(),
+            fault: None,
+        }
+    }
+
+    /// The error for a read of `n` bytes at `pos` that runs past the end.
+    fn short(&self, n: usize) -> SnapshotError {
+        SnapshotError::malformed(format!(
+            "payload ends at {} but a value at {} needs {} more bytes",
+            self.buf.len(),
+            self.pos,
+            n
+        ))
+    }
+
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or_else(|| {
             SnapshotError::malformed(format!("length overflow at offset {}", self.pos))
         })?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(|| {
-            SnapshotError::malformed(format!(
-                "payload ends at {} but a value at {} needs {} more bytes",
-                self.buf.len(),
-                self.pos,
-                n
-            ))
-        })?;
+        let slice = self.buf.get(self.pos..end).ok_or_else(|| self.short(n))?;
         self.pos = end;
         Ok(slice)
     }
 
+    #[inline]
     fn take_byte(&mut self) -> Result<u8, SnapshotError> {
-        match *self.take(1)? {
-            [b] => Ok(b),
-            // take(1) yields exactly one byte or errors; keep the decoder
-            // total anyway rather than trusting that invariant.
-            _ => Err(SnapshotError::malformed("internal: take(1) length")),
-        }
+        let b = *self.buf.get(self.pos).ok_or_else(|| self.short(1))?;
+        self.pos += 1;
+        Ok(b)
     }
 
+    #[inline]
     fn take_u64(&mut self) -> Result<u64, SnapshotError> {
-        let bytes = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(arr))
+        let word = self
+            .buf
+            .get(self.pos..)
+            .and_then(<[u8]>::first_chunk::<8>)
+            .ok_or_else(|| self.short(8))?;
+        self.pos += 8;
+        Ok(u64::from_le_bytes(*word))
     }
 
     /// A collection length, validated against the bytes that remain: every
     /// element costs at least `min_bytes` (one tag byte per Seq item or
     /// string byte, two per Map entry), so a count beyond the residue is
     /// corrupt — reject it *before* allocating.
+    #[inline]
     fn take_len(&mut self, min_bytes: u64) -> Result<usize, SnapshotError> {
         let n = self.take_u64()?;
         let remaining = (self.buf.len() - self.pos) as u64;
@@ -342,55 +372,110 @@ impl<'a> Cursor<'a> {
             SnapshotError::malformed(format!("collection length {n} exceeds the address space"))
         })
     }
+
+    /// Reads and validates one token, then books it against the open
+    /// containers.
+    #[inline]
+    fn read(&mut self) -> Result<Token<'a>, SnapshotError> {
+        if self.open.len() > MAX_DEPTH as usize {
+            return Err(SnapshotError::malformed(format!(
+                "value tree deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        let token =
+            match self.take_byte()? {
+                TAG_NULL => Token::Null,
+                TAG_FALSE => Token::Bool(false),
+                TAG_TRUE => Token::Bool(true),
+                TAG_I64 => Token::I64(self.take_u64()?.cast_signed()),
+                TAG_U64 => Token::U64(self.take_u64()?),
+                TAG_F64 => Token::F64(f64::from_bits(self.take_u64()?)),
+                TAG_STR => {
+                    let len = self.take_len(1)?;
+                    let bytes = self.take(len)?;
+                    Token::Str(std::str::from_utf8(bytes).map_err(|e| {
+                        SnapshotError::malformed(format!("string is not UTF-8: {e}"))
+                    })?)
+                }
+                TAG_SEQ => Token::Seq(self.take_len(1)?),
+                TAG_MAP => Token::Map(self.take_len(2)?),
+                other => {
+                    return Err(SnapshotError::malformed(format!(
+                        "unknown value tag {other} at offset {}",
+                        self.pos - 1
+                    )))
+                }
+            };
+        if let Some(left) = self.open.last_mut() {
+            *left -= 1;
+        }
+        // Lengths are validated against the residue, so `2 * n` fits.
+        match token {
+            Token::Seq(n) if n > 0 => self.open.push(n as u64),
+            Token::Map(n) if n > 0 => self.open.push(2 * n as u64),
+            _ => {
+                while self.open.last() == Some(&0) {
+                    self.open.pop();
+                }
+            }
+        }
+        Ok(token)
+    }
+
+    /// Completes the structural walk: reads whatever of the root value a
+    /// typed decode left unread, then rejects trailing bytes. A fault
+    /// anywhere in the payload is reported here, ahead of any typed
+    /// error.
+    fn finish(mut self) -> Result<(), SnapshotError> {
+        // Every typed decode reads at least the root's first token; the
+        // walk must not depend on it.
+        if self.pos == 0 {
+            let _ = self.skip();
+        }
+        let _ = self.skip_to(0);
+        if let Some(fault) = self.fault {
+            return Err(fault);
+        }
+        if self.pos != self.buf.len() {
+            return Err(SnapshotError::malformed(format!(
+                "{} payload bytes left over after the root value",
+                self.buf.len() - self.pos
+            )));
+        }
+        Ok(())
+    }
 }
 
-fn decode_value(c: &mut Cursor<'_>, depth: u32) -> Result<Value, SnapshotError> {
-    if depth > MAX_DEPTH {
-        return Err(SnapshotError::malformed(format!(
-            "value tree deeper than {MAX_DEPTH} levels"
-        )));
+impl Source for Decoder<'_> {
+    #[inline]
+    fn next(&mut self) -> Result<Token<'_>, de::Error> {
+        if let Some(fault) = &self.fault {
+            return Err(de::Error::custom(fault));
+        }
+        self.read().map_err(|fault| {
+            let e = de::Error::custom(&fault);
+            self.fault = Some(fault);
+            e
+        })
     }
-    let tag = c.take_byte()?;
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_I64 => Ok(Value::I64(i64::from_le_bytes({
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c.take(8)?);
-            a
-        }))),
-        TAG_U64 => Ok(Value::U64(c.take_u64()?)),
-        TAG_F64 => Ok(Value::F64(f64::from_bits(c.take_u64()?))),
-        TAG_STR => {
-            let len = c.take_len(1)?;
-            let bytes = c.take(len)?;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|e| SnapshotError::malformed(format!("string is not UTF-8: {e}")))?;
-            Ok(Value::Str(s.to_string()))
+
+    #[inline]
+    fn null(&mut self) -> Result<bool, de::Error> {
+        if self.fault.is_none() && self.buf.get(self.pos) == Some(&TAG_NULL) {
+            self.next()?;
+            return Ok(true);
         }
-        TAG_SEQ => {
-            let len = c.take_len(1)?;
-            let mut items = Vec::with_capacity(len.min(MAX_PREALLOC));
-            for _ in 0..len {
-                items.push(decode_value(c, depth + 1)?);
-            }
-            Ok(Value::Seq(items))
-        }
-        TAG_MAP => {
-            let len = c.take_len(2)?;
-            let mut entries = Vec::with_capacity(len.min(MAX_PREALLOC));
-            for _ in 0..len {
-                let k = decode_value(c, depth + 1)?;
-                let v = decode_value(c, depth + 1)?;
-                entries.push((k, v));
-            }
-            Ok(Value::Map(entries))
-        }
-        other => Err(SnapshotError::malformed(format!(
-            "unknown value tag {other} at offset {}",
-            c.pos - 1
-        ))),
+        Ok(false)
+    }
+
+    #[inline]
+    fn depth(&self) -> usize {
+        self.open.len()
+    }
+
+    #[inline]
+    fn reserve(&self, len: usize) -> usize {
+        len.min(MAX_PREALLOC)
     }
 }
 
@@ -424,14 +509,24 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// Verification order: length → magic → schema version → payload length →
 /// checksum → structural decode → typed deserialization. The first layer
 /// that fails names the failure; nothing panics.
+///
+/// The last two layers run in one pass: `T` is read straight from the
+/// payload through a validating token reader, with no [`Value`] tree in
+/// between. The order still holds because the structural walk always
+/// finishes: if the typed decode stops early, the rest of the payload is
+/// still read and checked, and a structural fault anywhere outranks the
+/// typed error.
+///
+/// [`Value`]: serde::Value
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
-    let value = payload_value(bytes)?;
-    Ok(T::from_value(&value)?)
+    let mut decoder = Decoder::new(payload(bytes)?);
+    let typed = T::stream_from(&mut decoder);
+    decoder.finish()?;
+    Ok(typed?)
 }
 
-/// Decodes the envelope down to the raw `Value` tree (shared by
-/// [`from_bytes`] and diagnostics).
-fn payload_value(bytes: &[u8]) -> Result<Value, SnapshotError> {
+/// Checks the envelope and returns the checksummed payload bytes.
+fn payload(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     if bytes.len() < HEADER_LEN {
         // Too short to even hold a header — but if what *is* there does
         // not look like our magic, say "not a snapshot", which is the more
@@ -497,18 +592,7 @@ fn payload_value(bytes: &[u8]) -> Result<Value, SnapshotError> {
             computed,
         });
     }
-    let mut cursor = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let value = decode_value(&mut cursor, 0)?;
-    if cursor.pos != payload.len() {
-        return Err(SnapshotError::malformed(format!(
-            "{} payload bytes left over after the root value",
-            payload.len() - cursor.pos
-        )));
-    }
-    Ok(value)
+    Ok(payload)
 }
 
 /// The temp-sibling path [`save`] stages through: `<path><TMP_SUFFIX>`.
@@ -551,7 +635,7 @@ pub fn load<T: Deserialize>(path: &Path) -> Result<T, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::de;
+    use serde::{de, Value};
 
     /// Reference CRC-32: one byte at a time, each folded in bit by bit.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {

@@ -1,14 +1,22 @@
-//! The streamed encoder against the tree it replaced: for generated
+//! The streamed codec against the tree it replaced, for generated
 //! `Value` trees and for derived types of every shape the vendored
-//! derive supports, `to_bytes` must produce exactly the bytes of encoding
-//! the `to_value()` tree node by node.
+//! derive supports:
 //!
-//! The reference encoder below is the pre-streaming tree walk, kept here
-//! as the oracle only.
+//! * `to_bytes` must produce exactly the bytes of encoding the
+//!   `to_value()` tree node by node;
+//! * `from_bytes` must decode exactly what the pre-streaming tree decoder
+//!   decodes, failing with the same message where it fails;
+//! * a typed `from_bytes` must return what `from_value` returns for the
+//!   decoded tree — also for maps with reordered, duplicated, unknown,
+//!   missing or ill-typed entries, where the error reported first must be
+//!   the one `de::field` extraction in declaration order reports.
+//!
+//! The reference encoder and decoder below are the pre-streaming tree
+//! walks, kept here as oracles only.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use glacsweb_snapshot::{from_bytes, to_bytes, HEADER_LEN};
+use glacsweb_snapshot::{crc32, from_bytes, to_bytes, SnapshotError, HEADER_LEN};
 use proptest::prelude::*;
 use proptest::TestRng;
 use serde::{Deserialize, Serialize, Value};
@@ -45,6 +53,125 @@ fn encode_tree(v: &Value, out: &mut Vec<u8>) {
             }
         }
     }
+}
+
+/// Decodes a payload the way the tree decoder did: one recursive pass
+/// building the `Value`, with the same checks and messages.
+fn decode_tree(payload: &[u8]) -> Result<Value, String> {
+    fn take<'a>(p: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], String> {
+        let end = pos
+            .checked_add(n)
+            .ok_or_else(|| format!("length overflow at offset {pos}"))?;
+        let slice = p.get(*pos..end).ok_or_else(|| {
+            format!(
+                "payload ends at {} but a value at {pos} needs {n} more bytes",
+                p.len()
+            )
+        })?;
+        *pos = end;
+        Ok(slice)
+    }
+    fn word(p: &[u8], pos: &mut usize) -> Result<u64, String> {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(take(p, pos, 8)?);
+        Ok(u64::from_le_bytes(w))
+    }
+    fn len(p: &[u8], pos: &mut usize, min: u64) -> Result<usize, String> {
+        let n = word(p, pos)?;
+        let remaining = (p.len() - *pos) as u64;
+        if n.saturating_mul(min) > remaining {
+            return Err(format!(
+                "collection claims {n} elements but only {remaining} payload bytes remain"
+            ));
+        }
+        usize::try_from(n).map_err(|_| format!("collection length {n} exceeds the address space"))
+    }
+    fn value(p: &[u8], pos: &mut usize, depth: u32) -> Result<Value, String> {
+        if depth > 128 {
+            return Err("value tree deeper than 128 levels".to_string());
+        }
+        Ok(match take(p, pos, 1)?[0] {
+            0 => Value::Null,
+            1 => Value::Bool(false),
+            2 => Value::Bool(true),
+            3 => Value::I64(word(p, pos)? as i64),
+            4 => Value::U64(word(p, pos)?),
+            5 => Value::F64(f64::from_bits(word(p, pos)?)),
+            6 => {
+                let n = len(p, pos, 1)?;
+                let s = std::str::from_utf8(take(p, pos, n)?)
+                    .map_err(|e| format!("string is not UTF-8: {e}"))?;
+                Value::Str(s.to_string())
+            }
+            7 => {
+                let n = len(p, pos, 1)?;
+                let mut items = Vec::new();
+                for _ in 0..n {
+                    items.push(value(p, pos, depth + 1)?);
+                }
+                Value::Seq(items)
+            }
+            8 => {
+                let n = len(p, pos, 2)?;
+                let mut entries = Vec::new();
+                for _ in 0..n {
+                    let k = value(p, pos, depth + 1)?;
+                    entries.push((k, value(p, pos, depth + 1)?));
+                }
+                Value::Map(entries)
+            }
+            other => return Err(format!("unknown value tag {other} at offset {}", *pos - 1)),
+        })
+    }
+    let mut pos = 0;
+    let v = value(payload, &mut pos, 0)?;
+    if pos != payload.len() {
+        return Err(format!(
+            "{} payload bytes left over after the root value",
+            payload.len() - pos
+        ));
+    }
+    Ok(v)
+}
+
+/// A payload sealed in a valid envelope.
+fn seal(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = to_bytes(&());
+    bytes.truncate(HEADER_LEN);
+    bytes[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// The tree path for `T`: the oracle decoder, then `from_value`, with
+/// structural faults reported as `Malformed` ahead of typed errors.
+fn tree_path<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
+    let tree = decode_tree(payload).map_err(|e| format!("Malformed: {e}"))?;
+    T::from_value(&tree).map_err(|e| format!("Invalid: {e}"))
+}
+
+/// `from_bytes::<T>` on a sealed `payload`, errors in `tree_path`'s form.
+fn stream_path<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
+    from_bytes::<T>(&seal(payload)).map_err(|e| match e {
+        SnapshotError::Malformed(m) => format!("Malformed: {m}"),
+        SnapshotError::Invalid(m) => format!("Invalid: {m}"),
+        other => format!("unexpected envelope error: {other}"),
+    })
+}
+
+/// Both decode paths agree on `payload`: equal values (compared by
+/// encoding, through `canon`), or equal errors.
+fn assert_decodes_agree<T: Deserialize>(
+    payload: &[u8],
+    canon: impl Fn(&T) -> Vec<u8>,
+) -> Result<(), TestCaseError> {
+    match (stream_path::<T>(payload), tree_path::<T>(payload)) {
+        (Ok(s), Ok(t)) => prop_assert!(canon(&s) == canon(&t), "decoded values differ"),
+        (Err(s), Err(t)) => prop_assert_eq!(s, t),
+        (s, t) => prop_assert!(false, "streamed {:?} but tree {:?}", s.err(), t.err()),
+    }
+    Ok(())
 }
 
 /// Asserts that streaming `x` gives the tree encoding of `x.to_value()`,
@@ -240,12 +367,148 @@ impl Strategy for AnyRecord {
     }
 }
 
+/// `Record`'s encoding with the `HashMap` entries sorted, so that two
+/// equal records compare equal whatever their hash order.
+fn canon_record(r: &Record) -> Vec<u8> {
+    let mut r = r.clone();
+    let mut hashed: Vec<(u8, bool)> = r.hashed.drain().collect();
+    hashed.sort_unstable();
+    let mut out = to_bytes(&r);
+    out.extend(to_bytes(&hashed));
+    out
+}
+
+fn payload_of<T: Serialize>(x: &T) -> Vec<u8> {
+    to_bytes(x)[HEADER_LEN..].to_vec()
+}
+
+/// One in-place corruption of an encoded payload: a scalar tag swapped
+/// for another of the same width, or any byte flipped.
+fn corrupt(payload: &mut [u8], rng: &mut TestRng) {
+    if payload.is_empty() {
+        return;
+    }
+    let at = (rng.next_u64() % payload.len() as u64) as usize;
+    let byte = &mut payload[at];
+    *byte = match (*byte, rng.next_u64() % 3) {
+        (0..=2, 0) => (*byte + 1) % 3,
+        (3..=5, 0) => 3 + (*byte - 2) % 3,
+        (b, _) => b ^ (1 << (rng.next_u64() % 8)),
+    };
+}
+
+/// Rewrites maps in a tree the ways a damaged or foreign payload could
+/// present a struct: entries reordered, a field duplicated (with an
+/// arbitrary value, before or after the original), removed, renamed,
+/// given a non-string key, given an ill-typed value, or joined by an
+/// unknown key. Applied at random depths.
+fn mangle(v: &mut Value, rng: &mut TestRng) {
+    let junk = |rng: &mut TestRng| AnyValue { depth: 1 }.draw(rng, 0);
+    match v {
+        Value::Map(entries) => {
+            for (_, val) in entries.iter_mut() {
+                if rng.next_u64().is_multiple_of(3) {
+                    mangle(val, rng);
+                }
+            }
+            if entries.is_empty() {
+                return;
+            }
+            let i = (rng.next_u64() % entries.len() as u64) as usize;
+            match rng.next_u64() % 8 {
+                0 => entries.reverse(),
+                1 => {
+                    let key = entries[i].0.clone();
+                    entries.push((key, junk(rng)));
+                }
+                2 => {
+                    let key = entries[i].0.clone();
+                    entries.insert(0, (key, junk(rng)));
+                }
+                3 => {
+                    entries.remove(i);
+                }
+                4 => entries[i].1 = junk(rng),
+                5 => {
+                    let renamed = format!("{}_", entries[i].0.as_str().unwrap_or("k"));
+                    entries[i].0 = Value::Str(renamed);
+                }
+                6 => entries[i].0 = Value::Seq(vec![Value::U64(7)]),
+                _ => entries.insert(i, (Value::Str("unknown".to_string()), junk(rng))),
+            }
+        }
+        Value::Seq(items) => {
+            for item in items {
+                if rng.next_u64().is_multiple_of(3) {
+                    mangle(item, rng);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+struct Seed;
+
+impl Strategy for Seed {
+    type Value = u64;
+    fn sample(&self, rng: &mut TestRng) -> u64 {
+        rng.next_u64()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn value_trees_stream_as_they_encode(v in AnyValue { depth: 4 }) {
         assert_stream_matches_tree(&v)?;
+    }
+
+    #[test]
+    fn value_trees_decode_as_the_tree_decoder_decodes(
+        v in AnyValue { depth: 4 },
+        seed in Seed,
+    ) {
+        let payload = payload_of(&v);
+        assert_decodes_agree::<Value>(&payload, to_bytes)?;
+        let mut rng = TestRng::deterministic(seed);
+        let mut damaged = payload.clone();
+        corrupt(&mut damaged, &mut rng);
+        assert_decodes_agree::<Value>(&damaged, to_bytes)?;
+        // Cut short, and with a byte left over.
+        let cut = (seed % (payload.len() as u64 + 1)) as usize;
+        assert_decodes_agree::<Value>(&payload[..cut], to_bytes)?;
+        let mut long = payload;
+        long.push(0);
+        assert_decodes_agree::<Value>(&long, to_bytes)?;
+    }
+
+    #[test]
+    fn derived_shapes_decode_as_their_trees(r in AnyRecord, seed in Seed) {
+        let payload = payload_of(&r);
+        assert_decodes_agree::<Record>(&payload, canon_record)?;
+        let back = stream_path::<Record>(&payload).map_err(TestCaseError::fail)?;
+        prop_assert!(canon_record(&back) == canon_record(&r), "round trip differs");
+        for shape in &r.shapes {
+            assert_decodes_agree::<Shape>(&payload_of(shape), to_bytes)?;
+        }
+        let mut rng = TestRng::deterministic(seed);
+        for _ in 0..4 {
+            let mut damaged = payload.clone();
+            corrupt(&mut damaged, &mut rng);
+            assert_decodes_agree::<Record>(&damaged, canon_record)?;
+        }
+    }
+
+    #[test]
+    fn mangled_maps_fail_as_field_extraction_fails(r in AnyRecord, seed in Seed) {
+        let mut rng = TestRng::deterministic(seed);
+        let mut tree = r.to_value();
+        for _ in 0..=(seed % 3) {
+            mangle(&mut tree, &mut rng);
+        }
+        assert_decodes_agree::<Record>(&payload_of(&tree), canon_record)?;
     }
 
     #[test]
