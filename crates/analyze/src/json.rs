@@ -1,10 +1,9 @@
-//! A minimal JSON value, parser, and emitter for the incremental cache.
+//! A minimal JSON value and emitter for the SARIF report, plus the
+//! string escaper every JSON writer in the analyzer shares.
 //!
-//! The analyzer is dependency-free, so the cache file is read back with
-//! this hand-rolled recursive-descent parser instead of serde_json. The
-//! parser never panics: any malformed input returns `None`, which the
-//! cache layer treats as a cold run. Objects keep insertion order so
-//! emission is deterministic.
+//! The analyzer is dependency-free, so it writes JSON by hand instead of
+//! through serde_json. Objects keep insertion order so emission is
+//! deterministic.
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,7 +12,7 @@ pub enum Jv {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (the cache only stores integers that are f64-exact).
+    /// Any number (integers print without a fraction).
     Num(f64),
     /// A string.
     Str(String),
@@ -24,46 +23,6 @@ pub enum Jv {
 }
 
 impl Jv {
-    /// Object member lookup.
-    pub fn get(&self, key: &str) -> Option<&Jv> {
-        match self {
-            Jv::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Jv::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as u64, if integral and in range.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Jv::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Jv::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Jv]> {
-        match self {
-            Jv::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Compact, deterministic emission.
     pub fn emit(&self) -> String {
         let mut out = String::new();
@@ -128,237 +87,24 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Parses a complete JSON document. `None` on any syntax error or
-/// trailing garbage.
-pub fn parse(src: &str) -> Option<Jv> {
-    let bytes: Vec<char> = src.chars().collect();
-    let mut p = Parser { c: &bytes, i: 0 };
-    p.ws();
-    let v = p.value(0)?;
-    p.ws();
-    if p.i == p.c.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-/// Nesting guard: the cache is a few levels deep; anything past this is
-/// corrupt input, not data.
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    c: &'a [char],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.c.get(self.i).is_some_and(|c| c.is_ascii_whitespace()) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, want: char) -> Option<()> {
-        if self.c.get(self.i) == Some(&want) {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn lit(&mut self, word: &str) -> Option<()> {
-        for w in word.chars() {
-            self.eat(w)?;
-        }
-        Some(())
-    }
-
-    fn value(&mut self, depth: usize) -> Option<Jv> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        match *self.c.get(self.i)? {
-            'n' => {
-                self.lit("null")?;
-                Some(Jv::Null)
-            }
-            't' => {
-                self.lit("true")?;
-                Some(Jv::Bool(true))
-            }
-            'f' => {
-                self.lit("false")?;
-                Some(Jv::Bool(false))
-            }
-            '"' => self.string().map(Jv::Str),
-            '[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.c.get(self.i) == Some(&']') {
-                    self.i += 1;
-                    return Some(Jv::Arr(items));
-                }
-                loop {
-                    self.ws();
-                    items.push(self.value(depth + 1)?);
-                    self.ws();
-                    match self.c.get(self.i)? {
-                        ',' => self.i += 1,
-                        ']' => {
-                            self.i += 1;
-                            return Some(Jv::Arr(items));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            '{' => {
-                self.i += 1;
-                let mut members = Vec::new();
-                self.ws();
-                if self.c.get(self.i) == Some(&'}') {
-                    self.i += 1;
-                    return Some(Jv::Obj(members));
-                }
-                loop {
-                    self.ws();
-                    let key = self.string()?;
-                    self.ws();
-                    self.eat(':')?;
-                    self.ws();
-                    members.push((key, self.value(depth + 1)?));
-                    self.ws();
-                    match self.c.get(self.i)? {
-                        ',' => self.i += 1,
-                        '}' => {
-                            self.i += 1;
-                            return Some(Jv::Obj(members));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            c if c == '-' || c.is_ascii_digit() => self.number(),
-            _ => None,
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.c.get(self.i)?;
-            self.i += 1;
-            match c {
-                '"' => return Some(out),
-                '\\' => {
-                    let e = *self.c.get(self.i)?;
-                    self.i += 1;
-                    match e {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{0008}'),
-                        'f' => out.push('\u{000c}'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let h = *self.c.get(self.i)?;
-                                self.i += 1;
-                                code = code * 16 + h.to_digit(16)?;
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return None,
-                    }
-                }
-                _ => out.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Jv> {
-        let start = self.i;
-        if self.c.get(self.i) == Some(&'-') {
-            self.i += 1;
-        }
-        while self
-            .c
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
-        {
-            self.i += 1;
-        }
-        let text: String = self.c[start..self.i].iter().collect();
-        text.parse::<f64>().ok().map(Jv::Num)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_nested_values() {
+    fn emits_compact_json_in_insertion_order() {
         let v = Jv::Obj(vec![
-            ("schema".into(), Jv::Num(2.0)),
+            ("b".into(), Jv::Num(2.0)),
             (
-                "files".into(),
-                Jv::Arr(vec![Jv::Obj(vec![
-                    ("rel".into(), Jv::Str("a/b.rs".into())),
-                    ("ok".into(), Jv::Bool(true)),
-                    ("note".into(), Jv::Null),
-                    ("line".into(), Jv::Num(42.0)),
-                ])]),
+                "a".into(),
+                Jv::Arr(vec![Jv::Null, Jv::Bool(true), Jv::Num(0.5)]),
             ),
         ]);
-        let text = v.emit();
-        assert_eq!(parse(&text), Some(v));
+        assert_eq!(v.emit(), r#"{"b":2,"a":[null,true,0.5]}"#);
     }
 
     #[test]
-    fn strings_escape_and_unescape() {
-        let s = "quote \" slash \\ newline \n tab \t unicode é";
-        let v = Jv::Str(s.to_string());
-        assert_eq!(parse(&v.emit()), Some(v));
-    }
-
-    #[test]
-    fn malformed_inputs_return_none() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\"}",
-            "{\"a\":}",
-            "tru",
-            "\"unterminated",
-            "1 2",
-            "{}extra",
-        ] {
-            assert_eq!(parse(bad), None, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn deep_nesting_is_rejected_not_overflowed() {
-        let deep = "[".repeat(100) + &"]".repeat(100);
-        assert_eq!(parse(&deep), None);
-    }
-
-    #[test]
-    fn accessors() {
-        let v = parse("{\"a\": [1, true, \"x\"]}").unwrap();
-        let arr = v.get("a").and_then(Jv::as_arr).unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1].as_bool(), Some(true));
-        assert_eq!(arr[2].as_str(), Some("x"));
-        assert!(v.get("b").is_none());
+    fn escapes_quotes_backslashes_and_controls() {
+        assert_eq!(escape("a\"b\\c\nd\u{1}é"), r#""a\"b\\c\nd\u0001é""#);
     }
 }

@@ -11,15 +11,15 @@
 //! table and [`suppress`] for the inline ledger that is the only way to
 //! silence a finding.
 //!
-//! Analysis runs in two phases. Phase one is per-file and embarrassingly
-//! parallel: lex ([`lexer`]), token rules ([`rules`]), ledger scan
-//! ([`suppress`]), item extraction ([`parser`]), and fact reduction
-//! ([`semantic`]) — a pure function of one file's text, which is what the
-//! incremental cache ([`cache`]) memoizes by content hash. Phase two is
-//! single-threaded and deterministic: the per-file facts join into a
-//! workspace item table, the semantic packs run, the ledger is matched,
-//! and findings normalize into a stable order — so the report is
-//! byte-identical at any thread count and on any warm/cold cache split.
+//! Analysis is one serial pass over the files in sorted path order, in
+//! two phases. Phase one is per-file: lex ([`lexer`]), token rules
+//! ([`rules`]), ledger scan ([`suppress`]), item extraction
+//! ([`parser`]), and fact reduction ([`semantic`]) — a pure function of
+//! one file's text. Phase two joins the per-file facts into a workspace
+//! item table, runs the semantic packs, matches the ledger, and
+//! normalizes findings into a stable order, so the report is
+//! deterministic. A cold run over the whole workspace takes a fraction
+//! of a second, which is why there is neither a cache nor a thread pool.
 //!
 //! The analyzer is deliberately dependency-free: it lexes Rust with its
 //! own comment/string-aware tokenizer rather than `syn`, and reads and
@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod json;
 pub mod lexer;
 pub mod parser;
@@ -42,7 +41,6 @@ pub mod suppress;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use report::Report;
 pub use rules::{Finding, RuleId};
@@ -50,10 +48,9 @@ pub use suppress::Suppression;
 
 use semantic::FileFacts;
 
-/// The pristine result of phase-one analysis of one file: token-rule and
+/// The result of phase-one analysis of one file: token-rule and
 /// malformed-ledger findings (before suppression matching), the parsed
-/// ledger entries (with `used` unset), and the semantic facts. This is
-/// the unit the incremental cache stores.
+/// ledger entries (with `used` unset), and the semantic facts.
 #[derive(Debug, Clone)]
 pub struct FileAnalysis {
     /// Workspace-relative path, forward slashes.
@@ -68,7 +65,7 @@ pub struct FileAnalysis {
 
 /// Phase one: analyzes a single file's source text under its
 /// workspace-relative path (the path determines which rules are in
-/// scope). Pure in `(rel, source)` — cacheable and parallel-safe.
+/// scope). Pure in `(rel, source)`.
 pub fn analyze_file(rel: &str, source: &str) -> FileAnalysis {
     let toks = lexer::lex(source);
     let (mask, test_ranges) = rules::test_mask(&toks);
@@ -147,126 +144,12 @@ pub fn analyze_source(rel: &str, source: &str) -> (Vec<Finding>, Vec<Suppression
     (report.findings, report.suppressions)
 }
 
-/// Tuning knobs for a workspace run.
-#[derive(Debug, Clone, Default)]
-pub struct Options {
-    /// Worker threads for phase one; `0` or `1` means serial.
-    pub threads: usize,
-    /// Incremental cache file; `None` disables caching.
-    pub cache_path: Option<PathBuf>,
-}
-
-/// What a workspace run actually did, for the CLI's timing line and the
-/// incremental-cache tests.
-#[derive(Debug, Clone, Copy)]
-pub struct RunStats {
-    /// Total `.rs` files in scope.
-    pub files_total: usize,
-    /// Files analyzed this run (the rest were cache hits).
-    pub reanalyzed: usize,
-}
-
 /// Walks `crates/`, `src/`, `tests/`, and `examples/` under `root` and
-/// analyzes every `.rs` file, serially and without a cache. `vendor/`
-/// and `target/` are never visited: vendored third-party subsets are not
-/// held to project rules.
+/// analyzes every `.rs` file. `vendor/` and `target/` are never visited:
+/// vendored third-party subsets are not held to project rules.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
-    analyze_workspace_with(root, &Options::default()).map(|(report, _)| report)
-}
-
-/// [`analyze_workspace`] with explicit parallelism and caching. The
-/// report is byte-identical at any thread count and for any warm/cold
-/// cache split; only wall time and [`RunStats`] vary.
-pub fn analyze_workspace_with(root: &Path, opts: &Options) -> std::io::Result<(Report, RunStats)> {
     let sources = workspace_sources(root)?;
-
-    let cached = opts
-        .cache_path
-        .as_deref()
-        .map(cache::load)
-        .unwrap_or_default();
-
-    // Slot in cache hits; collect the misses as (slot, index) work items.
-    let mut slots: Vec<Option<FileAnalysis>> = Vec::with_capacity(sources.len());
-    let mut todo: Vec<usize> = Vec::new();
-    let mut hashes: Vec<String> = Vec::with_capacity(sources.len());
-    for (i, (rel, source)) in sources.iter().enumerate() {
-        let hash = cache::hash_hex(source);
-        match cached.get(rel) {
-            Some((h, fa)) if *h == hash => slots.push(Some(fa.clone())),
-            _ => {
-                slots.push(None);
-                todo.push(i);
-            }
-        }
-        hashes.push(hash);
-    }
-    let stats = RunStats {
-        files_total: sources.len(),
-        reanalyzed: todo.len(),
-    };
-
-    let threads = opts.threads.max(1).min(todo.len().max(1));
-    if threads <= 1 {
-        for &i in &todo {
-            let (rel, source) = &sources[i];
-            slots[i] = Some(analyze_file(rel, source));
-        }
-    } else {
-        // Deterministic parallelism, same idiom as the sweep engine: an
-        // atomic work index hands out items, each worker keeps (slot,
-        // result) pairs locally, and the merge is by slot — so the final
-        // order never depends on scheduling.
-        let next = AtomicUsize::new(0);
-        let mut produced: Vec<(usize, FileAnalysis)> = Vec::with_capacity(todo.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                handles.push(scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = todo.get(k) else {
-                            break;
-                        };
-                        let (rel, source) = &sources[i];
-                        local.push((i, analyze_file(rel, source)));
-                    }
-                    local
-                }));
-            }
-            for handle in handles {
-                produced.extend(handle.join().unwrap_or_default());
-            }
-        });
-        for (i, fa) in produced {
-            slots[i] = Some(fa);
-        }
-        // A panicked worker (which analyze_file never does by design)
-        // leaves holes; fill them serially rather than losing files.
-        for &i in &todo {
-            if slots[i].is_none() {
-                let (rel, source) = &sources[i];
-                slots[i] = Some(analyze_file(rel, source));
-            }
-        }
-    }
-
-    let files: Vec<FileAnalysis> = slots.into_iter().flatten().collect();
-
-    if let Some(path) = opts.cache_path.as_deref() {
-        let entries: Vec<(String, &FileAnalysis)> = files
-            .iter()
-            .enumerate()
-            .map(|(i, fa)| (hashes[i].clone(), fa))
-            .collect();
-        // Best-effort: a cache that fails to write only costs the next
-        // run its warm start.
-        let _ = fs::write(path, cache::render(&entries));
-    }
-
-    let report = finish(&root.display().to_string(), files);
-    Ok((report, stats))
+    Ok(analyze_sources(&root.display().to_string(), &sources))
 }
 
 /// Reads every in-scope `.rs` file under `root` as `(rel, source)`

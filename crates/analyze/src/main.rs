@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p glacsweb-analyze -- [--deny] [--root DIR] [--json PATH]
-//!     [--sarif PATH] [--threads N] [--cache PATH] [--no-cache] [--quiet]
+//!     [--sarif PATH] [--quiet]
 //! ```
 //!
 //! * `--deny`    — exit nonzero if any unsuppressed finding remains (CI mode).
@@ -12,11 +12,6 @@
 //!   (default `ANALYSIS.json` under the workspace root).
 //! * `--sarif`   — where to write the SARIF 2.1.0 report
 //!   (default `ANALYSIS.sarif` under the workspace root).
-//! * `--threads` — phase-one worker threads (default: available
-//!   parallelism, capped at 8). The report is byte-identical at any value.
-//! * `--cache`   — incremental cache file (default `ANALYSIS_CACHE.json`
-//!   under the workspace root). Delete the file to force a cold run.
-//! * `--no-cache`— disable the incremental cache entirely.
 //! * `--quiet`   — suppress the ledger listing; findings still print.
 
 #![forbid(unsafe_code)]
@@ -24,42 +19,27 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use glacsweb_analyze::{analyze_workspace_with, find_workspace_root, sarif, Options};
+use glacsweb_analyze::{analyze_workspace, find_workspace_root, sarif};
 
 fn main() -> ExitCode {
     let mut deny = false;
     let mut quiet = false;
-    let mut no_cache = false;
-    let mut threads: Option<usize> = None;
     let mut root: Option<PathBuf> = None;
     let mut json: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut cache_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
             "--quiet" => quiet = true,
-            "--no-cache" => no_cache = true,
             "--root" => root = args.next().map(PathBuf::from),
             "--json" => json = args.next().map(PathBuf::from),
             "--sarif" => sarif_path = args.next().map(PathBuf::from),
-            "--cache" => cache_path = args.next().map(PathBuf::from),
-            "--threads" => {
-                threads = match args.next().as_deref().map(str::parse) {
-                    Some(Ok(n)) => Some(n),
-                    _ => {
-                        eprintln!("--threads expects a positive integer");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: glacsweb-analyze [--deny] [--root DIR] [--json PATH] \
-                     [--sarif PATH] [--threads N] [--cache PATH] [--no-cache] [--quiet]"
+                     [--sarif PATH] [--quiet]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -82,29 +62,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let opts = Options {
-        threads: threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(8)
-        }),
-        cache_path: if no_cache {
-            None
-        } else {
-            Some(cache_path.unwrap_or_else(|| root.join("ANALYSIS_CACHE.json")))
-        },
-    };
-
-    let started = Instant::now();
-    let (report, stats) = match analyze_workspace_with(&root, &opts) {
+    let report = match analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("glacsweb-analyze: {e}");
             return ExitCode::from(2);
         }
     };
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let json_path = json.unwrap_or_else(|| root.join("ANALYSIS.json"));
     if let Err(e) = std::fs::write(&json_path, report.to_json()) {
@@ -131,21 +95,6 @@ fn main() -> ExitCode {
     } else {
         print!("{text}");
     }
-    // The timing line CI greps to keep the incremental cache honest: a
-    // warm run must report 0 re-analyzed files.
-    println!(
-        "glacsweb-analyze: re-analyzed {} of {} file(s) in {:.1} ms (threads: {}, cache: {})",
-        stats.reanalyzed,
-        stats.files_total,
-        elapsed_ms,
-        opts.threads,
-        if opts.cache_path.is_some() {
-            "on"
-        } else {
-            "off"
-        },
-    );
-
     if deny && report.unsuppressed().next().is_some() {
         eprintln!("glacsweb-analyze: failing (--deny) on unsuppressed findings");
         return ExitCode::FAILURE;

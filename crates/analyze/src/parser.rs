@@ -10,14 +10,10 @@
 //! without ever panicking or failing to advance; unknown syntax costs
 //! coverage, never correctness.
 //!
-//! Two annotation forms are recognized in comments (scanned from raw
-//! source so they work in both `//` and `///` positions):
-//!
-//! * `glacsweb: derived-state` — on a struct field's line or the line
-//!   above it, marks the field as derived (memo/cache) state.
-//! * `glacsweb: draw-budget(N)` — in the doc comment of a fn, declares
-//!   that every execution path through the fn retires exactly N raw RNG
-//!   draws.
+//! One annotation form is recognized in comments (scanned from raw
+//! source so it works in both `//` and `///` positions):
+//! `glacsweb: draw-budget(N)` in the doc comment of a fn declares that
+//! every execution path through the fn retires exactly N raw RNG draws.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -38,8 +34,7 @@ pub enum ItemKind {
     Mod,
     /// `macro_rules! name { ... }` (body is opaque).
     MacroRules,
-    /// `name!(args...)` at item position — the macro name and argument
-    /// identifiers are recorded so convention macros act as markers.
+    /// `name!(args...)` at item position (arguments are opaque).
     MacroInvocation,
 }
 
@@ -53,8 +48,6 @@ pub struct FieldDef {
     /// Every identifier appearing in the field's type (`BTreeMap`,
     /// `String`, `Load` for `BTreeMap<String, Load>`).
     pub ty_idents: Vec<String>,
-    /// Set when a `derived-state` annotation covers this field.
-    pub annotated_derived: bool,
 }
 
 /// One entry of the item table.
@@ -86,8 +79,6 @@ pub struct Item {
     pub budget: Option<u64>,
     /// Method names invoked in the body via `.name(` (fns), with lines.
     pub calls: Vec<(String, u32)>,
-    /// Argument identifiers of a macro invocation.
-    pub macro_args: Vec<String>,
     /// `true` if the item sits inside a `#[cfg(test)]` / `#[test]` region.
     pub in_test: bool,
 }
@@ -107,38 +98,19 @@ impl Item {
             body: None,
             budget: None,
             calls: Vec::new(),
-            macro_args: Vec::new(),
             in_test,
         }
     }
 }
 
-/// One comment annotation found in raw source.
-#[derive(Debug, Clone)]
-pub struct Annotation {
-    /// 1-based line the annotation comment sits on.
-    pub line: u32,
-    /// Parsed form.
-    pub kind: AnnotationKind,
-}
-
-/// The recognized annotation forms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnnotationKind {
-    /// `glacsweb: derived-state`.
-    DerivedState,
-    /// `glacsweb: draw-budget(N)`.
-    DrawBudget(u64),
-}
-
-/// Parses `src`/`toks` into an item table and attaches annotations.
+/// Parses `src`/`toks` into an item table and attaches draw budgets.
 /// `mask` is the `#[cfg(test)]` token mask from [`crate::rules::test_mask`].
 pub fn parse_items(src: &str, toks: &[Tok], mask: &[bool]) -> Vec<Item> {
     let mut items = Vec::new();
     parse_block(toks, mask, 0, toks.len(), &mut items);
-    let anns = scan_annotations(src);
-    if !anns.is_empty() {
-        apply_annotations(&mut items, &anns);
+    let budgets = scan_budgets(src);
+    if !budgets.is_empty() {
+        apply_budgets(&mut items, &budgets);
     }
     items
 }
@@ -146,66 +118,40 @@ pub fn parse_items(src: &str, toks: &[Tok], mask: &[bool]) -> Vec<Item> {
 /// Max lines between a `draw-budget` annotation and the fn it documents.
 const BUDGET_ATTACH_WINDOW: u32 = 32;
 
-fn scan_annotations(src: &str) -> Vec<Annotation> {
-    // Markers are assembled from fragments so this file's own string
+/// Every `draw-budget(N)` annotation in `src`, as `(line, N)`.
+fn scan_budgets(src: &str) -> Vec<(u32, u64)> {
+    // The marker is assembled from fragments so this file's own string
     // literals never scan as annotations when the analyzer runs on
     // itself (the same trick the suppression scanner uses).
-    let derived: String = ["glacsweb", ": derived-state"].concat();
     let budget: String = ["glacsweb", ": draw-budget("].concat();
     let mut out = Vec::new();
     for (idx, raw) in src.lines().enumerate() {
-        let line = idx as u32 + 1;
         let Some(comment) = raw.find("//").map(|p| &raw[p..]) else {
             continue;
         };
-        if comment.contains(&derived) {
-            out.push(Annotation {
-                line,
-                kind: AnnotationKind::DerivedState,
-            });
-        }
         if let Some(pos) = comment.find(&budget) {
             let rest = &comment[pos + budget.len()..];
             let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
             if let (Ok(n), Some(')')) = (digits.parse::<u64>(), rest.chars().nth(digits.len())) {
-                out.push(Annotation {
-                    line,
-                    kind: AnnotationKind::DrawBudget(n),
-                });
+                out.push((idx as u32 + 1, n));
             }
         }
     }
     out
 }
 
-fn apply_annotations(items: &mut [Item], anns: &[Annotation]) {
+/// Gives each fn the nearest budget annotation in the doc block above it.
+fn apply_budgets(items: &mut [Item], budgets: &[(u32, u64)]) {
     for item in items.iter_mut() {
-        for field in item.fields.iter_mut() {
-            // Derived-state annotation: on the field's line or the line
-            // directly above.
-            if anns.iter().any(|a| {
-                a.kind == AnnotationKind::DerivedState
-                    && (a.line == field.line || a.line + 1 == field.line)
-            }) {
-                field.annotated_derived = true;
-            }
-        }
         if item.kind == ItemKind::Fn {
-            // Budget annotation: nearest one in the doc block above.
-            item.budget = anns
+            item.budget = budgets
                 .iter()
-                .filter_map(|a| match a.kind {
-                    AnnotationKind::DrawBudget(n)
-                        if a.line < item.line && item.line - a.line <= BUDGET_ATTACH_WINDOW =>
-                    {
-                        Some((item.line - a.line, n))
-                    }
-                    _ => None,
-                })
+                .filter(|&&(line, _)| line < item.line && item.line - line <= BUDGET_ATTACH_WINDOW)
+                .map(|&(line, n)| (item.line - line, n))
                 .min()
                 .map(|(_, n)| n);
         }
-        apply_annotations(&mut item.children, anns);
+        apply_budgets(&mut item.children, budgets);
     }
 }
 
@@ -422,11 +368,6 @@ fn parse_block(toks: &[Tok], mask: &[bool], start: usize, end: usize, out: &mut 
                         t,
                         masked(mask, i),
                     );
-                    item.macro_args = toks[i + 3..after.saturating_sub(1).max(i + 3)]
-                        .iter()
-                        .filter(|a| a.kind == TokKind::Ident)
-                        .map(|a| a.text.clone())
-                        .collect();
                     item.hi = toks[after.saturating_sub(1).min(end - 1)].hi;
                     out.push(item);
                     i = after;
@@ -608,7 +549,6 @@ fn parse_fields(toks: &[Tok], start: usize, end: usize) -> Vec<FieldDef> {
                     .filter(|t| t.kind == TokKind::Ident)
                     .map(|t| t.text.clone())
                     .collect(),
-                annotated_derived: false,
             });
         }
         j = k + 1;
@@ -815,11 +755,11 @@ mod tests {
     }
 
     #[test]
-    fn macro_invocations_record_args() {
-        let items = parse("derived_state_serde!(OuStepCache);");
+    fn macro_invocations_are_items() {
+        let items = parse("thread_local!(static X: u32 = 1);\nfn after() {}");
         assert_eq!(items[0].kind, ItemKind::MacroInvocation);
-        assert_eq!(items[0].name, "derived_state_serde");
-        assert_eq!(items[0].macro_args, ["OuStepCache"]);
+        assert_eq!(items[0].name, "thread_local");
+        assert_eq!(items[1].name, "after");
     }
 
     #[test]
@@ -834,16 +774,11 @@ mod tests {
     }
 
     #[test]
-    fn annotations_attach_to_fields_and_fns() {
-        let src = "struct S {\n    // glacsweb: derived-state\n    memo: u32,\n    real: u32,\n}\n\
+    fn budget_annotations_attach_to_fns() {
+        let src = "struct S {\n    real: u32,\n}\n\
                    /// Does things.\n/// glacsweb: draw-budget(4)\nfn wake() { }\n";
         let items = parse(src);
-        assert!(
-            items[0].fields[0].annotated_derived,
-            "{:?}",
-            items[0].fields
-        );
-        assert!(!items[0].fields[1].annotated_derived);
+        assert_eq!(items[0].budget, None);
         assert_eq!(items[1].budget, Some(4));
     }
 

@@ -43,8 +43,6 @@ pub enum RuleId {
     SnapshotCoverage,
     /// Wake-path branches diverging from the declared RNG draw budget.
     RngDrawBudget,
-    /// Memo/cache fields visible to equality or serialized non-null.
-    DerivedState,
 }
 
 impl RuleId {
@@ -59,12 +57,11 @@ impl RuleId {
             RuleId::SuppressionHygiene => "suppression-hygiene",
             RuleId::SnapshotCoverage => "snapshot-coverage",
             RuleId::RngDrawBudget => "rng-draw-budget",
-            RuleId::DerivedState => "derived-state",
         }
     }
 
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 9] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::Determinism,
         RuleId::PanicFreedom,
         RuleId::NumericSafety,
@@ -73,7 +70,6 @@ impl RuleId {
         RuleId::SuppressionHygiene,
         RuleId::SnapshotCoverage,
         RuleId::RngDrawBudget,
-        RuleId::DerivedState,
     ];
 
     /// Parses a rule name as written in a suppression comment.
@@ -113,10 +109,6 @@ impl RuleId {
             RuleId::RngDrawBudget => {
                 "every branch of a `glacsweb: draw-budget(N)`-annotated fn must \
                  retire exactly N raw draws from its SimRng stream"
-            }
-            RuleId::DerivedState => {
-                "memo/cache fields must serialize as Value::Null and stay \
-                 invisible to PartialEq"
             }
         }
     }

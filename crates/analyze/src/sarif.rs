@@ -123,6 +123,8 @@ pub fn to_sarif(report: &Report) -> String {
 
 #[cfg(test)]
 mod tests {
+    use serde::Value;
+
     use super::*;
     use crate::rules::{Finding, RuleId};
 
@@ -152,48 +154,46 @@ mod tests {
         report
     }
 
+    /// The emitted SARIF's single run, parsed back with serde_json.
+    fn sarif_run() -> Value {
+        let doc: Value =
+            serde_json::from_str(to_sarif(&sample_report()).trim_end()).expect("valid JSON");
+        assert_eq!(doc.get("version").and_then(Value::as_str), Some("2.1.0"));
+        doc.get("runs")
+            .and_then(Value::as_seq)
+            .and_then(<[Value]>::first)
+            .cloned()
+            .expect("one run")
+    }
+
+    fn results(run: &Value) -> &[Value] {
+        run.get("results").and_then(Value::as_seq).expect("results")
+    }
+
     #[test]
     fn sarif_parses_and_carries_all_findings() {
-        let text = to_sarif(&sample_report());
-        let doc = crate::json::parse(text.trim_end()).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Jv::as_str), Some("2.1.0"));
-        let runs = doc.get("runs").and_then(Jv::as_arr).expect("runs");
-        let results = runs[0]
-            .get("results")
-            .and_then(Jv::as_arr)
-            .expect("results");
-        assert_eq!(results.len(), 2);
-        let rules = runs[0]
+        let run = sarif_run();
+        assert_eq!(results(&run).len(), 2);
+        let rules = run
             .get("tool")
             .and_then(|t| t.get("driver"))
             .and_then(|d| d.get("rules"))
-            .and_then(Jv::as_arr)
+            .and_then(Value::as_seq)
             .expect("rules");
         assert_eq!(rules.len(), RuleId::ALL.len());
     }
 
     #[test]
     fn suppressed_findings_are_notes_with_suppression_objects() {
-        let text = to_sarif(&sample_report());
-        let doc = crate::json::parse(text.trim_end()).expect("valid JSON");
-        let runs = doc.get("runs").and_then(Jv::as_arr).expect("runs");
-        let results = runs[0]
-            .get("results")
-            .and_then(Jv::as_arr)
-            .expect("results");
-        let suppressed: Vec<&Jv> = results
+        let run = sarif_run();
+        let (suppressed, live): (Vec<&Value>, Vec<&Value>) = results(&run)
             .iter()
-            .filter(|r| r.get("suppressions").is_some())
-            .collect();
+            .partition(|r| r.get("suppressions").is_some());
         assert_eq!(suppressed.len(), 1);
         assert_eq!(
-            suppressed[0].get("level").and_then(Jv::as_str),
+            suppressed[0].get("level").and_then(Value::as_str),
             Some("note")
         );
-        let live: Vec<&Jv> = results
-            .iter()
-            .filter(|r| r.get("suppressions").is_none())
-            .collect();
-        assert_eq!(live[0].get("level").and_then(Jv::as_str), Some("error"));
+        assert_eq!(live[0].get("level").and_then(Value::as_str), Some("error"));
     }
 }

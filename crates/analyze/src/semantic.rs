@@ -2,23 +2,20 @@
 //! cannot express.
 //!
 //! Analysis is two-phase. [`extract_facts`] reduces one file's item
-//! table to a [`FileFacts`] — a pure function of the file's text, which
-//! is what makes per-file results cacheable. [`check`] then joins the
-//! facts of every file into a workspace item table and runs three packs:
+//! table to a [`FileFacts`]. [`check`] then joins the facts of every
+//! file into a workspace item table and runs two packs:
 //!
 //! * **snapshot-coverage** — a type with hand-written GLACSNAP serde
-//!   must mention every non-derived field in both its `Serialize` and
-//!   `Deserialize` impls (and in `PartialEq` where hand-written), so a
-//!   field added without threading it through snapshot/resume is a CI
-//!   failure rather than a silent resume corruption.
+//!   must mention every field in both its `Serialize` and `Deserialize`
+//!   impls (and in `PartialEq` where hand-written), so a field added
+//!   without threading it through snapshot/resume is a CI failure
+//!   rather than a silent resume corruption. Fields of type
+//!   `glacsweb_sim::Derived` are exempt: they are memos, kept out of
+//!   snapshots and equality by the type itself.
 //! * **rng-draw-budget** — a fn annotated `glacsweb: draw-budget(N)`
 //!   must retire exactly N raw draws on every execution path, counting
 //!   through branches, matches, and `self.` method calls; an unbalanced
 //!   branch desynchronizes the naive and sleep-leaping streams.
-//! * **derived-state** — memo/cache fields (annotated, `*Memo`/`*Cache`
-//!   typed, or `*_buf`/`*_cache`/`*_memo`/`*_scratch` named) must be
-//!   invisible to equality and serialize as null, enforcing the
-//!   derived-state convention mechanically.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,9 +23,8 @@ use crate::lexer::{Tok, TokKind};
 use crate::parser::{Item, ItemKind};
 use crate::rules::{classify, Finding, RuleId};
 
-/// Saturation cap for draw-interval arithmetic. Small enough to stay
-/// exact through the cache's number representation, large enough that
-/// any real budget mismatch is still visible.
+/// Saturation cap for draw-interval arithmetic: large enough that any
+/// real budget mismatch is still visible.
 pub const DRAW_CAP: u64 = 1_000_000;
 
 /// RNG methods that retire raw draws, with their (min, max) weight.
@@ -45,9 +41,6 @@ const DRAW_WEIGHTS: &[(&str, u64, u64)] = &[
     ("fork", 1, 1),
     ("normal", 0, 2),
 ];
-
-/// Field-name suffixes that mark derived state by convention.
-const DERIVED_NAME_SUFFIXES: &[&str] = &["_buf", "_scratch", "_memo", "_cache"];
 
 /// How many draws a region of code can retire, as a tree mirroring the
 /// region's control flow.
@@ -87,17 +80,13 @@ pub enum DrawTree {
     },
 }
 
-/// One named field of a struct, as cached.
+/// One named field of a struct.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldFact {
     /// Field name.
     pub name: String,
-    /// 1-based source line.
-    pub line: u32,
     /// Identifiers of the field's type.
     pub ty: Vec<String>,
-    /// `derived-state` annotation present.
-    pub annotated: bool,
 }
 
 /// One struct definition.
@@ -105,8 +94,6 @@ pub struct FieldFact {
 pub struct StructFact {
     /// Type name.
     pub name: String,
-    /// 1-based source line.
-    pub line: u32,
     /// `#[derive(...)]` identifiers.
     pub derives: Vec<String>,
     /// Named fields.
@@ -125,8 +112,6 @@ pub struct ImplFact {
     pub line: u32,
     /// Every identifier in the impl body.
     pub idents: BTreeSet<String>,
-    /// Body mentions `Null` (null-serde convention marker).
-    pub mentions_null: bool,
 }
 
 /// One fn definition with its draw tree.
@@ -155,9 +140,6 @@ pub struct FileFacts {
     pub impls: Vec<ImplFact>,
     /// Fn definitions.
     pub fns: Vec<FnFact>,
-    /// Types marked null-serde via convention-macro invocations
-    /// (`derived_state_serde!(T)` and the like).
-    pub macro_marks: Vec<String>,
 }
 
 /// Reduces a parsed file to its semantic facts. Test items contribute
@@ -179,29 +161,24 @@ fn walk(toks: &[Tok], items: &[Item], impl_ty: Option<&str>, facts: &mut FileFac
         match item.kind {
             ItemKind::Struct => facts.structs.push(StructFact {
                 name: item.name.clone(),
-                line: item.line,
                 derives: item.derives.clone(),
                 fields: item
                     .fields
                     .iter()
                     .map(|f| FieldFact {
                         name: f.name.clone(),
-                        line: f.line,
                         ty: f.ty_idents.clone(),
-                        annotated: f.annotated_derived,
                     })
                     .collect(),
             }),
             ItemKind::Impl => {
                 if let Some(tr) = item.trait_name.as_deref() {
                     if matches!(tr, "Serialize" | "Deserialize" | "PartialEq") {
-                        let idents = body_idents(toks, item.body);
                         facts.impls.push(ImplFact {
                             trait_name: tr.to_string(),
                             ty: item.name.clone(),
                             line: item.line,
-                            mentions_null: idents.contains("Null"),
-                            idents,
+                            idents: body_idents(toks, item.body),
                         });
                     }
                 }
@@ -221,11 +198,6 @@ fn walk(toks: &[Tok], items: &[Item], impl_ty: Option<&str>, facts: &mut FileFac
                 });
             }
             ItemKind::Mod => walk(toks, &item.children, None, facts),
-            ItemKind::MacroInvocation
-                if item.name.contains("derived_state") || item.name.ends_with("_serde") =>
-            {
-                facts.macro_marks.extend(item.macro_args.iter().cloned());
-            }
             _ => {}
         }
     }
@@ -499,28 +471,20 @@ fn build_match(toks: &[Tok], i: usize, end: usize, out: &mut Vec<DrawTree>) -> u
 // Workspace-level checks.
 // ---------------------------------------------------------------------
 
+/// A memo field: its type is `Derived<_>`, which serializes as null and
+/// always compares equal, so codecs and equality must leave it out.
 fn is_derived_field(f: &FieldFact) -> bool {
-    f.annotated
-        || DERIVED_NAME_SUFFIXES.iter().any(|s| f.name.ends_with(s))
-        || f.ty
-            .iter()
-            .any(|t| t.ends_with("Memo") || t.ends_with("Cache"))
-}
-
-fn is_memo_type(name: &str) -> bool {
-    name.ends_with("Memo") || name.ends_with("Cache")
+    f.ty.iter().any(|t| t == "Derived")
 }
 
 struct Table<'a> {
-    /// Struct name -> (file, fact); names defined more than once are
-    /// dropped (ambiguous joins would misattribute impls).
-    structs: BTreeMap<&'a str, (&'a str, &'a StructFact)>,
+    /// Struct name -> fact; names defined more than once are dropped
+    /// (ambiguous joins would misattribute impls).
+    structs: BTreeMap<&'a str, &'a StructFact>,
     /// (type, trait) -> merged impl facts across the workspace (the
     /// orphan rule keeps a type's impls in its own crate, and type
     /// names are workspace-unique in practice).
     impls: BTreeMap<(&'a str, &'a str), MergedImpl<'a>>,
-    /// Types marked null-serde by convention macros.
-    marks: BTreeSet<&'a str>,
     /// (impl type, fn name) -> fns (for call resolution).
     methods: BTreeMap<(&'a str, &'a str), Vec<(&'a str, &'a FnFact)>>,
     /// fn name -> fns (fallback resolution when globally unique).
@@ -531,15 +495,13 @@ struct MergedImpl<'a> {
     file: &'a str,
     line: u32,
     idents: BTreeSet<&'a str>,
-    mentions_null: bool,
 }
 
 fn build_table<'a>(facts: &'a [&'a FileFacts]) -> Table<'a> {
-    let mut structs: BTreeMap<&str, Vec<(&str, &StructFact)>> = BTreeMap::new();
+    let mut structs: BTreeMap<&str, Vec<&StructFact>> = BTreeMap::new();
     let mut table = Table {
         structs: BTreeMap::new(),
         impls: BTreeMap::new(),
-        marks: BTreeSet::new(),
         methods: BTreeMap::new(),
         by_name: BTreeMap::new(),
     };
@@ -548,7 +510,7 @@ fn build_table<'a>(facts: &'a [&'a FileFacts]) -> Table<'a> {
             continue;
         }
         for s in &ff.structs {
-            structs.entry(&s.name).or_default().push((&ff.rel, s));
+            structs.entry(&s.name).or_default().push(s);
         }
         for im in &ff.impls {
             let entry = table
@@ -558,14 +520,9 @@ fn build_table<'a>(facts: &'a [&'a FileFacts]) -> Table<'a> {
                     file: &ff.rel,
                     line: im.line,
                     idents: BTreeSet::new(),
-                    mentions_null: false,
                 });
             entry.idents.extend(im.idents.iter().map(String::as_str));
-            entry.mentions_null |= im.mentions_null;
         }
-        table
-            .marks
-            .extend(ff.macro_marks.iter().map(String::as_str));
         for f in &ff.fns {
             let ty = f.ty.as_deref().unwrap_or("");
             table
@@ -588,7 +545,7 @@ fn build_table<'a>(facts: &'a [&'a FileFacts]) -> Table<'a> {
 pub fn check(facts: &[&FileFacts]) -> Vec<Finding> {
     let table = build_table(facts);
     let mut out = Vec::new();
-    check_serde_packs(&table, &mut out);
+    check_snapshot_coverage(&table, &mut out);
     check_draw_budgets(&table, &mut out);
     out
 }
@@ -603,163 +560,51 @@ fn push(out: &mut Vec<Finding>, rule: RuleId, file: &str, line: u32, message: St
     });
 }
 
-fn check_serde_packs(table: &Table<'_>, out: &mut Vec<Finding>) {
-    for (&name, &(file, s)) in &table.structs {
-        let ser = table.impls.get(&(name, "Serialize"));
-        let de = table.impls.get(&(name, "Deserialize"));
-        let eq = table.impls.get(&(name, "PartialEq"));
-        let derives = |d: &str| s.derives.iter().any(|x| x == d);
+/// The impls snapshot-coverage checks: (trait, verb, what a field the
+/// impl misses costs).
+const COVERED_IMPLS: [(&str, &str, &str); 3] = [
+    (
+        "Serialize",
+        "never mentions",
+        "the field is dropped from every snapshot",
+    ),
+    ("Deserialize", "never mentions", "restore cannot rebuild it"),
+    (
+        "PartialEq",
+        "never compares",
+        "snapshot equivalence checks cannot see it",
+    ),
+];
 
-        if is_memo_type(name) || table.marks.contains(name) {
-            // The memo type itself: a hand-written Serialize must be the
-            // null-serde form.
-            if let Some(im) = ser {
-                if !im.mentions_null {
-                    push(
-                        out,
-                        RuleId::DerivedState,
-                        im.file,
-                        im.line,
-                        format!(
-                            "memo type `{name}` has a hand-written `Serialize` that does \
-                             not serialize as `Value::Null`"
-                        ),
-                    );
-                }
-            }
+fn check_snapshot_coverage(table: &Table<'_>, out: &mut Vec<Finding>) {
+    for (&name, s) in &table.structs {
+        let hand_written = |t: &str| table.impls.contains_key(&(name, t));
+        let derives = |d: &str| s.derives.iter().any(|x| x == d);
+        let participates = ["Serialize", "Deserialize"]
+            .into_iter()
+            .any(|t| derives(t) || hand_written(t));
+        if !participates {
             continue;
         }
-
-        let participates =
-            derives("Serialize") || derives("Deserialize") || ser.is_some() || de.is_some();
-
-        // Pack: snapshot-coverage.
-        if participates {
-            if let Some(im) = ser {
-                for f in s.fields.iter().filter(|f| !is_derived_field(f)) {
-                    if !im.idents.contains(f.name.as_str()) {
-                        push(
-                            out,
-                            RuleId::SnapshotCoverage,
-                            im.file,
-                            im.line,
-                            format!(
-                                "hand-written `Serialize` for `{name}` never mentions field \
-                                 `{}`; the field is dropped from every snapshot",
-                                f.name
-                            ),
-                        );
-                    }
-                }
-            }
-            if let Some(im) = de {
-                for f in s.fields.iter().filter(|f| !is_derived_field(f)) {
-                    if !im.idents.contains(f.name.as_str()) {
-                        push(
-                            out,
-                            RuleId::SnapshotCoverage,
-                            im.file,
-                            im.line,
-                            format!(
-                                "hand-written `Deserialize` for `{name}` never mentions field \
-                                 `{}`; restore cannot rebuild it",
-                                f.name
-                            ),
-                        );
-                    }
-                }
-            }
-            if let Some(im) = eq {
-                for f in s.fields.iter().filter(|f| !is_derived_field(f)) {
-                    if !im.idents.contains(f.name.as_str()) {
-                        push(
-                            out,
-                            RuleId::SnapshotCoverage,
-                            im.file,
-                            im.line,
-                            format!(
-                                "hand-written `PartialEq` for `{name}` never compares field \
-                                 `{}`; snapshot equivalence checks cannot see it",
-                                f.name
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Pack: derived-state.
-        for f in s.fields.iter().filter(|f| is_derived_field(f)) {
-            if let Some(im) = eq {
-                if im.idents.contains(f.name.as_str()) {
-                    push(
-                        out,
-                        RuleId::DerivedState,
-                        im.file,
-                        im.line,
-                        format!(
-                            "hand-written `PartialEq` for `{name}` compares derived field \
-                             `{}`; memo/cache state must be invisible to equality",
-                            f.name
-                        ),
-                    );
-                }
-            }
-            if let Some(im) = ser {
-                if im.idents.contains(f.name.as_str()) {
-                    push(
-                        out,
-                        RuleId::DerivedState,
-                        im.file,
-                        im.line,
-                        format!(
-                            "hand-written `Serialize` for `{name}` writes derived field \
-                             `{}`; memo/cache state must serialize as null",
-                            f.name
-                        ),
-                    );
-                }
-            }
-            if eq.is_none() && derives("PartialEq") {
-                let neutral = f.ty.iter().any(|t| {
-                    table.marks.contains(t.as_str())
-                        || table.impls.contains_key(&(t.as_str(), "PartialEq"))
-                });
-                if !neutral {
-                    push(
-                        out,
-                        RuleId::DerivedState,
-                        file,
-                        f.line,
-                        format!(
-                            "`derive(PartialEq)` on `{name}` includes derived field `{}` \
-                             whose type has no always-equal `PartialEq` impl",
-                            f.name
-                        ),
-                    );
-                }
-            }
-            if ser.is_none() && derives("Serialize") {
-                let null_serde = f.ty.iter().any(|t| {
-                    table.marks.contains(t.as_str())
-                        || table
-                            .impls
-                            .get(&(t.as_str(), "Serialize"))
-                            .is_some_and(|im| im.mentions_null)
-                });
-                if !null_serde {
-                    push(
-                        out,
-                        RuleId::DerivedState,
-                        file,
-                        f.line,
-                        format!(
-                            "`derive(Serialize)` on `{name}` includes derived field `{}` \
-                             whose type does not serialize as `Value::Null`",
-                            f.name
-                        ),
-                    );
-                }
+        for (trait_name, verb, cost) in COVERED_IMPLS {
+            let Some(im) = table.impls.get(&(name, trait_name)) else {
+                continue;
+            };
+            let missed = s
+                .fields
+                .iter()
+                .filter(|f| !is_derived_field(f) && !im.idents.contains(f.name.as_str()));
+            for f in missed {
+                push(
+                    out,
+                    RuleId::SnapshotCoverage,
+                    im.file,
+                    im.line,
+                    format!(
+                        "hand-written `{trait_name}` for `{name}` {verb} field `{}`; {cost}",
+                        f.name
+                    ),
+                );
             }
         }
     }
@@ -1037,10 +882,6 @@ mod tests {
         assert!(hits[0].message.contains("loop"));
     }
 
-    const MEMO_IMPLS: &str = "struct FooMemo { v: f64 }\n\
-        impl PartialEq for FooMemo { fn eq(&self, _: &Self) -> bool { true } }\n\
-        impl Serialize for FooMemo { fn to_value(&self) -> Value { Value::Null } }\n";
-
     #[test]
     fn coverage_flags_missing_serialize_field() {
         let findings = run(&[(
@@ -1058,82 +899,31 @@ mod tests {
     }
 
     #[test]
-    fn coverage_is_quiet_when_fields_are_covered() {
-        let findings = run(&[(
-            "crates/power/src/r.rs",
-            "struct Rail { a: u32, memo_buf: Vec<f64> }\n\
-             impl Serialize for Rail { fn to_value(&self) -> Value { self.a.to_value() } }\n\
-             impl Deserialize for Rail { fn from_value(v: &Value) -> R { Rail { a: x(v), memo_buf: Vec::new() } } }",
-        )]);
+    fn coverage_exempts_derived_fields_only() {
+        let rail = |memo_ty: &str| {
+            format!(
+                "struct Rail {{ a: u32, memo_buf: {memo_ty} }}\n\
+                 impl Serialize for Rail {{ fn to_value(&self) -> Value {{ self.a.to_value() }} }}\n\
+                 impl Deserialize for Rail {{ fn from_value(v: &Value) -> R {{ Rail {{ a: x(v), memo_buf: Derived::default() }} }} }}"
+            )
+        };
+        let derived = run(&[("crates/power/src/r.rs", &rail("Derived<Vec<f64>>"))]);
         assert!(
-            findings.iter().all(|f| f.rule != RuleId::SnapshotCoverage),
-            "{findings:?}"
+            derived.iter().all(|f| f.rule != RuleId::SnapshotCoverage),
+            "{derived:?}"
         );
-    }
-
-    #[test]
-    fn derived_state_flags_memo_in_partial_eq() {
-        let src = format!(
-            "{MEMO_IMPLS}\n\
-             struct Rail {{ a: u32, taper: FooMemo }}\n\
-             impl Serialize for Rail {{ fn to_value(&self) -> Value {{ self.a.to_value() }} }}\n\
-             impl PartialEq for Rail {{ fn eq(&self, o: &Self) -> bool {{ \
-               self.a == o.a && self.taper == o.taper }} }}"
-        );
-        let findings = run(&[("crates/power/src/r.rs", &src)]);
-        let hits: Vec<_> = findings
+        // A memo-like name is no exemption: only the type is.
+        let named = run(&[("crates/power/src/r.rs", &rail("Vec<f64>"))]);
+        let hits: Vec<_> = named
             .iter()
-            .filter(|f| f.rule == RuleId::DerivedState)
+            .filter(|f| f.rule == RuleId::SnapshotCoverage)
             .collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
-        assert!(hits[0].message.contains("taper"));
-    }
-
-    #[test]
-    fn derived_state_flags_derive_partial_eq_without_neutral_eq() {
-        let findings = run(&[(
-            "crates/power/src/r.rs",
-            "#[derive(PartialEq)]\nstruct S {\n    // glacsweb: derived-state\n    scratch: Vec<f64>,\n}",
-        )]);
-        let hits: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == RuleId::DerivedState)
-            .collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
-    }
-
-    #[test]
-    fn derived_state_trusts_macro_marked_types() {
-        let findings = run(&[
-            (
-                "crates/env/src/c.rs",
-                "struct StepCache { v: f64 }\nderived_state_serde!(StepCache);\n\
-                 impl PartialEq for StepCache { fn eq(&self, _: &Self) -> bool { true } }",
-            ),
-            (
-                "crates/fleet/src/s.rs",
-                "#[derive(PartialEq, Serialize)]\nstruct Site { a: u32, ou_cache: StepCache }",
-            ),
-        ]);
+        assert_eq!(hits.len(), 1, "{named:?}");
         assert!(
-            findings.iter().all(|f| f.rule != RuleId::DerivedState),
-            "{findings:?}"
+            hits[0].message.contains("`memo_buf`"),
+            "{}",
+            hits[0].message
         );
-    }
-
-    #[test]
-    fn memo_type_with_non_null_serialize_is_flagged() {
-        let findings = run(&[(
-            "crates/power/src/m.rs",
-            "struct BarMemo { v: f64 }\n\
-             impl Serialize for BarMemo { fn to_value(&self) -> Value { self.v.to_value() } }",
-        )]);
-        let hits: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == RuleId::DerivedState)
-            .collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
-        assert!(hits[0].message.contains("BarMemo"));
     }
 
     #[test]

@@ -13,35 +13,12 @@
 //!
 //! All types use interior mutability (`Cell`/`RefCell`, never wall-clock
 //! or hashing — see the `glacsweb-analyze` determinism rule) so read
-//! paths keep `&self`, and all compare equal regardless of fill state:
-//! memo contents are derived data, invisible to model equality.
+//! paths keep `&self`. Owners hold them in [`Derived`], which keeps the
+//! contents out of equality and snapshots.
+//!
+//! [`Derived`]: glacsweb_sim::Derived
 
 use std::cell::{Cell, RefCell};
-
-use serde::{de, Deserialize, Serialize, Value};
-
-/// Serde for the memos mirrors their `PartialEq`: contents are derived
-/// state, so a snapshot carries nothing (`Null`) and a restore starts
-/// from an empty memo that refills bit-identically on first use.
-macro_rules! derived_state_serde {
-    ($ty:ident) => {
-        impl Serialize for $ty {
-            fn to_value(&self) -> Value {
-                Value::Null
-            }
-        }
-
-        impl Deserialize for $ty {
-            fn from_value(_: &Value) -> Result<Self, de::Error> {
-                Ok($ty::default())
-            }
-        }
-    };
-}
-
-derived_state_serde!(DayCell);
-derived_state_serde!(DayPair);
-derived_state_serde!(SodTable);
 
 /// Sentinel day key meaning "nothing memoised yet".
 const NO_DAY: u64 = u64::MAX;
@@ -77,12 +54,6 @@ impl DayCell {
     }
 }
 
-impl PartialEq for DayCell {
-    fn eq(&self, _: &Self) -> bool {
-        true // derived state
-    }
-}
-
 /// One-slot memo for a pair of scalars constant within a civil day
 /// (e.g. the solar declination products `A = sin φ · sin δ` and
 /// `B = cos φ · cos δ`).
@@ -110,12 +81,6 @@ impl DayPair {
             self.day.set(day);
         }
         self.values.get()
-    }
-}
-
-impl PartialEq for DayPair {
-    fn eq(&self, _: &Self) -> bool {
-        true // derived state
     }
 }
 
@@ -156,12 +121,6 @@ impl SodTable {
         } else {
             cached
         }
-    }
-}
-
-impl PartialEq for SodTable {
-    fn eq(&self, _: &Self) -> bool {
-        true // derived state
     }
 }
 
@@ -210,17 +169,5 @@ mod tests {
         let table = SodTable::default();
         assert_eq!(table.get_or(0, || 1.0), 1.0);
         assert_eq!(table.get_or(86_399, || 2.0), 2.0);
-    }
-
-    #[test]
-    fn caches_are_invisible_to_equality() {
-        let a = DayCell::default();
-        let b = DayCell::default();
-        let _ = a.get_or(5, || 9.0);
-        assert_eq!(a, b);
-        let ta = SodTable::default();
-        let tb = SodTable::default();
-        let _ = ta.get_or(7, || 3.0);
-        assert_eq!(ta, tb);
     }
 }

@@ -1,6 +1,6 @@
 //! The composed environment façade.
 
-use glacsweb_sim::{SimRng, SimTime};
+use glacsweb_sim::{Derived, SimRng, SimTime};
 use serde::{de, Deserialize, Serialize, Value};
 
 use crate::cafe::cafe_mains_available;
@@ -55,12 +55,12 @@ pub struct Environment {
     rng: SimRng,
     now: SimTime,
     started: bool,
-    /// Memo of the per-day solar products `(sin φ·sin δ, cos φ·cos δ)`.
-    // glacsweb: derived-state
-    solar_day: DayPair,
-    /// Memo of `cos(hour angle)` — a pure function of second-of-day.
-    // glacsweb: derived-state
-    cos_hour: SodTable,
+    /// Memo of the per-day solar products `(sin φ·sin δ, cos φ·cos δ)`,
+    /// constant within a civil day.
+    solar_day: Derived<DayPair>,
+    /// Memo of `cos(hour angle)` — a pure function of second-of-day,
+    /// filled slot by slot on first use.
+    cos_hour: Derived<SodTable>,
 }
 
 // Deserialization is hand-written so a snapshot cannot smuggle in a
@@ -89,8 +89,8 @@ impl Deserialize for Environment {
             rng: de::field(v, "rng")?,
             now: de::field(v, "now")?,
             started: de::field(v, "started")?,
-            solar_day: DayPair::default(),
-            cos_hour: SodTable::default(),
+            solar_day: Derived::default(),
+            cos_hour: Derived::default(),
         })
     }
 }
@@ -142,8 +142,8 @@ impl Environment {
             rng,
             now: SimTime::EPOCH,
             started: false,
-            solar_day: DayPair::default(),
-            cos_hour: SodTable::default(),
+            solar_day: Derived::default(),
+            cos_hour: Derived::default(),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Subglacial hydrology: melt-water index, water pressure and the
 //! conductivity signal of Fig 6.
 
-use glacsweb_sim::SimTime;
+use glacsweb_sim::{Derived, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::stepcache::AlphaStepCache;
@@ -22,7 +22,7 @@ use crate::stepcache::AlphaStepCache;
 pub struct Hydrology {
     /// Melt-water index in `[0, 1]`.
     melt_index: f64,
-    step: AlphaStepCache,
+    step: Derived<AlphaStepCache>,
 }
 
 impl Hydrology {
@@ -30,7 +30,7 @@ impl Hydrology {
     pub fn new() -> Self {
         Hydrology {
             melt_index: 0.0,
-            step: AlphaStepCache::default(),
+            step: Derived::default(),
         }
     }
 
@@ -46,7 +46,7 @@ impl Hydrology {
         );
         Hydrology {
             melt_index,
-            step: AlphaStepCache::default(),
+            step: Derived::default(),
         }
     }
 

@@ -8,34 +8,10 @@
 //! returns are computed by exactly the formula the models used inline,
 //! so simulation traces stay bit-identical.
 
-use serde::{de, Deserialize, Serialize, Value};
-
-/// Like their `PartialEq`, serde for the step caches treats contents as
-/// derived state: snapshots store `Null` and restores rebuild an empty
-/// cache whose first `coeffs` call reproduces the exact same bits.
-macro_rules! derived_state_serde {
-    ($ty:ident) => {
-        impl Serialize for $ty {
-            fn to_value(&self) -> Value {
-                Value::Null
-            }
-        }
-
-        impl Deserialize for $ty {
-            fn from_value(_: &Value) -> Result<Self, de::Error> {
-                Ok($ty::default())
-            }
-        }
-    };
-}
-
-derived_state_serde!(OuStepCache);
-derived_state_serde!(AlphaStepCache);
-
 /// Memoised Ornstein–Uhlenbeck step coefficients for one `(θ, σ)` pair.
 ///
-/// Equality deliberately ignores the cache contents: it is derived
-/// state, reproducible from the owning model's parameters and the tick.
+/// Derived state, reproducible from the owning model's parameters and
+/// the tick: owners hold it in a [`Derived`](glacsweb_sim::Derived).
 #[derive(Debug, Clone, Default)]
 pub struct OuStepCache {
     dt: f64,
@@ -130,12 +106,6 @@ impl OuStepCache {
     }
 }
 
-impl PartialEq for OuStepCache {
-    fn eq(&self, _: &Self) -> bool {
-        true // derived state: two models differing only here are equal
-    }
-}
-
 /// Memoised low-pass filter gains for the hydrology melt filter, which
 /// switches between a rise and a fall time constant.
 #[derive(Debug, Clone, Default)]
@@ -190,12 +160,6 @@ impl AlphaStepCache {
             value = value.clamp(0.0, 1.0);
         }
         value
-    }
-}
-
-impl PartialEq for AlphaStepCache {
-    fn eq(&self, _: &Self) -> bool {
-        true // derived state
     }
 }
 
@@ -304,14 +268,6 @@ mod tests {
             stepped = stepped.clamp(0.0, 1.0);
         }
         assert_eq!(leapt.to_bits(), stepped.to_bits());
-    }
-
-    #[test]
-    fn caches_compare_equal_regardless_of_state() {
-        let mut a = OuStepCache::default();
-        let b = OuStepCache::default();
-        let _ = a.coeffs(0.5, 0.1, 1.0);
-        assert_eq!(a, b, "cache state is invisible to model equality");
     }
 
     mod leap_equivalence {

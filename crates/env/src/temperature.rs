@@ -1,7 +1,7 @@
 //! Air temperature: annual + diurnal sinusoids plus a correlated noise
 //! process.
 
-use glacsweb_sim::{SimRng, SimTime};
+use glacsweb_sim::{Derived, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::daycache::{DayCell, SodTable};
@@ -19,11 +19,11 @@ pub struct TemperatureModel {
     diurnal_amplitude_c: f64,
     noise_sd_c: f64,
     noise_c: f64,
-    step: OuStepCache,
+    step: Derived<OuStepCache>,
     /// Memo of `annual_mean_c + annual(doy)` — constant within a day.
-    annual_memo: DayCell,
+    annual_memo: Derived<DayCell>,
     /// Memo of the diurnal swing — a pure function of second-of-day.
-    diurnal_memo: SodTable,
+    diurnal_memo: Derived<SodTable>,
 }
 
 impl TemperatureModel {
@@ -49,9 +49,9 @@ impl TemperatureModel {
             diurnal_amplitude_c,
             noise_sd_c,
             noise_c: 0.0,
-            step: OuStepCache::default(),
-            annual_memo: DayCell::default(),
-            diurnal_memo: SodTable::default(),
+            step: Derived::default(),
+            annual_memo: Derived::default(),
+            diurnal_memo: Derived::default(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Wind speed: seasonal mean with Ornstein–Uhlenbeck gusting.
 
-use glacsweb_sim::{SimRng, SimTime};
+use glacsweb_sim::{Derived, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::daycache::DayCell;
@@ -19,9 +19,9 @@ pub struct WindModel {
     gust_sd_ms: f64,
     /// Deviation from the seasonal mean (OU state).
     deviation_ms: f64,
-    step: OuStepCache,
+    step: Derived<OuStepCache>,
     /// Memo of the seasonal mean — constant within a day.
-    seasonal_memo: DayCell,
+    seasonal_memo: Derived<DayCell>,
 }
 
 impl WindModel {
@@ -40,8 +40,8 @@ impl WindModel {
             mean_summer_ms,
             gust_sd_ms,
             deviation_ms: 0.0,
-            step: OuStepCache::default(),
-            seasonal_memo: DayCell::default(),
+            step: Derived::default(),
+            seasonal_memo: Derived::default(),
         }
     }
 

@@ -6,8 +6,8 @@
 
 use glacsweb_env::stepcache::OuStepCache;
 use glacsweb_power::{LeadAcidBattery, SleepGlide};
-use glacsweb_sim::{AmpHours, Amps, Celsius, EventWheel, SimDuration, SimRng, SimTime};
-use serde::{de, Deserialize, Serialize, Value};
+use glacsweb_sim::{AmpHours, Amps, Celsius, Derived, EventWheel, SimDuration, SimRng, SimTime};
+use serde::{Deserialize, Serialize};
 
 use crate::config::FleetConfig;
 
@@ -177,9 +177,9 @@ impl SiteParams {
 /// at the same grid instants — so the wake handler funnels every
 /// climate read through this memo instead of re-deriving per station.
 /// The memo is *derived state*: a pure function of `(params, t)` used
-/// identically by both kernel modes, excluded from equality, and
-/// serialised as `Null` (restores rebuild it on first use with the
-/// exact same bits).
+/// identically by both kernel modes, which the site holds in a
+/// [`Derived`] (restores rebuild it on first use with the exact same
+/// bits).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClimateMemo {
     at_unix: u64,
@@ -187,18 +187,6 @@ pub struct ClimateMemo {
     temp_c: f64,
     wake_harvest: f64,
     sleep_harvest: f64,
-}
-
-impl Serialize for ClimateMemo {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-impl Deserialize for ClimateMemo {
-    fn from_value(_: &Value) -> Result<Self, de::Error> {
-        Ok(ClimateMemo::default())
-    }
 }
 
 impl ClimateMemo {
@@ -461,10 +449,10 @@ pub struct Site {
     pub wheel: EventWheel<SiteEvent>,
     /// Station state columns.
     pub st: StationArrays,
-    /// Memoised OU step coefficients (derived state; serialises null).
-    pub ou_cache: OuStepCache,
-    /// Memoised climate at the last-touched instant (derived state).
-    pub climate: ClimateMemo,
+    /// Memoised OU step coefficients.
+    pub ou_cache: Derived<OuStepCache>,
+    /// Memoised climate at the last-touched instant.
+    pub climate: Derived<ClimateMemo>,
     /// Aggregate service counters.
     pub counters: SiteCounters,
     /// Kernel cost counters (mode-dependent; never in telemetry).
@@ -537,8 +525,8 @@ impl Site {
             storms,
             wheel: EventWheel::new(),
             st,
-            ou_cache: OuStepCache::default(),
-            climate: ClimateMemo::default(),
+            ou_cache: Derived::default(),
+            climate: Derived::default(),
             counters: SiteCounters::default(),
             exec: ExecCounters::default(),
             start,

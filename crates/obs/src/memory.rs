@@ -420,7 +420,10 @@ impl serde::Deserialize for Histogram {
             )));
         }
         let total: u64 = serde::de::field(v, "total")?;
-        if counts.iter().sum::<u64>() != total {
+        // Checked: crafted counts must fail as a typed error, not
+        // overflow (a panic in debug, a wrap to a forged sum in release).
+        let sum = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+        if sum != Some(total) {
             return Err(serde::de::Error::custom(
                 "histogram bucket counts do not sum to its total",
             ));

@@ -3,23 +3,17 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use glacsweb_sim::{SimDuration, WattHours, Watts};
+use glacsweb_sim::{Derived, SimDuration, WattHours, Watts};
 use serde::{Deserialize, Serialize};
 
 /// Memo of the total switched-on draw, invalidated by every mutation of
 /// the on/off pattern. A hit returns the exact `Watts` the last full
 /// re-sum produced — the sum is always recomputed whole (same values,
 /// same name order), never adjusted incrementally, so the cached
-/// bits equal a fresh evaluation's. Derived state: invisible to
-/// equality and skipped by serde.
+/// bits equal a fresh evaluation's. Derived state: the load set holds
+/// it in a [`Derived`].
 #[derive(Debug, Clone, Default)]
 struct TotalCache(Cell<Option<Watts>>);
-
-impl PartialEq for TotalCache {
-    fn eq(&self, _: &Self) -> bool {
-        true // derived state
-    }
-}
 
 /// The set of switchable loads hanging off a station's power rail.
 ///
@@ -53,15 +47,15 @@ pub struct LoadSet {
     /// rail's per-substep `meter` walks one flat slice, and a lookup by
     /// name is a scan of six entries.
     loads: Vec<(String, Load)>,
-    total: TotalCache,
+    total: Derived<TotalCache>,
 }
 
-// Hand-written (de)serialization: the total-power memo is derived state
-// and must not appear on the wire, and the vendored serde derive has no
-// `#[serde(skip)]`. The wire shape is the one the derive produced when
-// the devices lived in a `BTreeMap<String, Load>`: a map with the single
-// `loads` field holding a name-keyed map. Restore goes through that map,
-// so it keeps its duplicate-key and error behaviour.
+// Hand-written (de)serialization: the pinned wire format leaves the
+// `Derived` total out entirely (a derive would write it as `null`). The
+// wire shape is the one the derive produced when the devices lived in a
+// `BTreeMap<String, Load>`: a map with the single `loads` field holding
+// a name-keyed map. Restore goes through that map, so it keeps its
+// duplicate-key and error behaviour.
 impl Serialize for LoadSet {
     fn to_value(&self) -> serde::Value {
         let loads = self
@@ -92,7 +86,7 @@ impl Deserialize for LoadSet {
         let loads: BTreeMap<String, Load> = serde::de::field(v, "loads")?;
         Ok(LoadSet {
             loads: loads.into_iter().collect(),
-            total: TotalCache::default(),
+            total: Derived::default(),
         })
     }
 }

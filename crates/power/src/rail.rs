@@ -3,7 +3,7 @@
 use std::cell::Cell;
 
 use glacsweb_env::Environment;
-use glacsweb_sim::{Amps, Celsius, SimDuration, SimTime, Volts, WattHours, Watts};
+use glacsweb_sim::{Amps, Celsius, Derived, SimDuration, SimTime, Volts, WattHours, Watts};
 use serde::{de, Deserialize, Serialize, Value};
 
 use crate::battery::LeadAcidBattery;
@@ -17,8 +17,7 @@ use crate::load::LoadSet;
 /// cached bits equal a fresh evaluation's. This pays off on the
 /// mains-charged reference station, whose raw input (a constant 30 W) and
 /// state of charge (pinned at full) repeat for weeks of sub-steps at a
-/// time. Derived state: invisible to clones-for-comparison via the
-/// always-equal `PartialEq` below.
+/// time. Derived state: the rail holds it in a [`Derived`].
 ///
 /// [`VoltageCurve`]: crate::VoltageCurve
 #[derive(Debug, Clone, Default)]
@@ -37,19 +36,13 @@ impl TaperMemo {
     }
 }
 
-impl PartialEq for TaperMemo {
-    fn eq(&self, _: &Self) -> bool {
-        true // derived state
-    }
-}
-
 /// One station's complete power system.
 ///
 /// The simulation loop advances the rail between events with
 /// [`PowerRail::advance`]; the MSP430 model samples
 /// [`PowerRail::measured_voltage`] every thirty minutes — the exact signal
 /// the paper's Table II policy consumes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerRail {
     battery: LeadAcidBattery,
     chargers: Vec<Charger>,
@@ -66,30 +59,15 @@ pub struct PowerRail {
     /// the day-constant outputs from sub-step to sub-step within one
     /// `advance` call. Derived state, reused to avoid per-step
     /// allocation.
-    output_buf: Vec<f64>,
+    output_buf: Derived<Vec<f64>>,
     /// Single-entry memo of the last taper solve (see [`TaperMemo`]).
-    taper: TaperMemo,
-}
-
-/// Equality ignores the scratch buffer and the taper memo: both are
-/// derived per-sub-step state, rebuilt on the next `advance`, and a
-/// freshly restored rail must compare equal to the one it was saved from.
-impl PartialEq for PowerRail {
-    fn eq(&self, other: &Self) -> bool {
-        self.battery == other.battery
-            && self.chargers == other.chargers
-            && self.harvest_by == other.harvest_by
-            && self.loads == other.loads
-            && self.now == other.now
-            && self.harvested == other.harvested
-            && self.brownout_secs == other.brownout_secs
-    }
+    taper: Derived<TaperMemo>,
 }
 
 // Hand-written (de)serialization, following the `LoadSet` precedent: the
-// scratch output buffer and the taper memo are derived state and must not
-// appear on the wire. Restore re-checks the `chargers`/`harvest_by`
-// alignment invariant that `add_charger` maintains.
+// pinned wire format leaves the two `Derived` fields out entirely (a
+// derive would write them as `null`). Restore re-checks the
+// `chargers`/`harvest_by` alignment invariant that `add_charger` maintains.
 impl Serialize for PowerRail {
     fn to_value(&self) -> Value {
         Value::Map(vec![
@@ -140,8 +118,8 @@ impl Deserialize for PowerRail {
             now: de::field(v, "now")?,
             harvested: de::field(v, "harvested")?,
             brownout_secs: de::field(v, "brownout_secs")?,
-            output_buf: Vec::new(),
-            taper: TaperMemo::default(),
+            output_buf: Derived::default(),
+            taper: Derived::default(),
         })
     }
 }
@@ -160,8 +138,8 @@ impl PowerRail {
             now: start,
             harvested: WattHours::ZERO,
             brownout_secs: 0,
-            output_buf: Vec::new(),
-            taper: TaperMemo::default(),
+            output_buf: Derived::default(),
+            taper: Derived::default(),
         }
     }
 

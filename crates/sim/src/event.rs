@@ -1,4 +1,5 @@
-//! A deterministic timed event queue.
+//! A deterministic timed event queue: the binary-heap reference the
+//! [`EventWheel`](crate::EventWheel) is proptested against (test builds only).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -11,20 +12,6 @@ use crate::time::SimTime;
 /// The FIFO tie-break is what makes whole-deployment simulations
 /// reproducible: two stations scheduled for the same midday window always
 /// run in the order they were registered.
-///
-/// # Example
-///
-/// ```
-/// use glacsweb_sim::{EventQueue, SimTime};
-///
-/// let t = SimTime::from_unix(100);
-/// let mut q = EventQueue::new();
-/// q.push(t, "base station");
-/// q.push(t, "reference station");
-/// assert_eq!(q.pop(), Some((t, "base station")));
-/// assert_eq!(q.pop(), Some((t, "reference station")));
-/// assert_eq!(q.pop(), None);
-/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,

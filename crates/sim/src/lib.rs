@@ -6,8 +6,8 @@
 //! * [`SimTime`] / [`SimDuration`] — a simulated wall clock with a civil
 //!   calendar (the deployment logic cares about *midday UTC*, day-of-year for
 //!   solar elevation, and seasons).
-//! * [`EventQueue`] — a deterministic, FIFO-tie-broken priority queue of
-//!   timed events.
+//! * [`EventWheel`] — a deterministic, FIFO-tie-broken calendar of timed
+//!   events.
 //! * [`SimRng`] — a small, fully deterministic PRNG (xoshiro256++) with the
 //!   distributions the environment and link models need.
 //! * [`TimeSeries`] — a recorder used to regenerate the paper's figures.
@@ -17,18 +17,20 @@
 //!   to render the regenerated figures.
 //! * [`units`] — shared newtypes ([`Watts`], [`Volts`], …) so that power
 //!   arithmetic cannot silently mix units.
+//! * [`Derived`] — the wrapper for memo fields: serialized as `null`,
+//!   restored empty, always equal.
 //!
 //! # Example
 //!
 //! ```
-//! use glacsweb_sim::{EventQueue, SimDuration, SimTime};
+//! use glacsweb_sim::{EventWheel, SimDuration, SimTime};
 //!
 //! let start = SimTime::from_ymd_hms(2009, 9, 22, 0, 0, 0);
-//! let mut queue = EventQueue::new();
-//! queue.push(start + SimDuration::from_hours(12), "midday window");
-//! queue.push(start + SimDuration::from_mins(30), "battery sample");
+//! let mut wheel = EventWheel::new();
+//! wheel.push(start + SimDuration::from_hours(12), "midday window");
+//! wheel.push(start + SimDuration::from_mins(30), "battery sample");
 //!
-//! let (t, what) = queue.pop().expect("queue is non-empty");
+//! let (t, what) = wheel.pop().expect("wheel is non-empty");
 //! assert_eq!(what, "battery sample");
 //! assert_eq!(t.time_of_day(), (0, 30, 0));
 //! ```
@@ -37,6 +39,8 @@
 #![warn(missing_docs)]
 
 mod config_error;
+mod derived;
+#[cfg(test)]
 mod event;
 pub mod plot;
 mod rng;
@@ -47,7 +51,7 @@ pub mod units;
 mod wheel;
 
 pub use config_error::ConfigError;
-pub use event::EventQueue;
+pub use derived::Derived;
 pub use rng::SimRng;
 pub use series::{SeriesStats, TimeSeries};
 pub use time::{CivilDate, SimDuration, SimTime};

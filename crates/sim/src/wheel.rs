@@ -10,7 +10,7 @@ use crate::time::SimTime;
 /// a sorted calendar of time buckets, each holding its events in arrival
 /// order.
 ///
-/// Semantically identical to [`EventQueue`](crate::EventQueue) — events
+/// Semantically identical to a binary-heap priority queue — events
 /// pop in non-decreasing time order with FIFO tie-breaking — but with a
 /// different cost profile, tuned for the deployment loop's workload:
 ///
@@ -25,7 +25,7 @@ use crate::time::SimTime;
 ///
 /// The FIFO tie-break is load-bearing for reproducibility: two stations
 /// scheduled for the same midday window always run in the order they were
-/// registered, which the equivalence proptests against `EventQueue` pin.
+/// registered, which the equivalence proptests against a heap queue pin.
 ///
 /// # Example
 ///

@@ -11,7 +11,7 @@
 //! 24      n     payload: binary-encoded serde::Value tree
 //! ```
 //!
-//! The payload is the wire [`Value`] tree of whatever implements
+//! The payload is the wire [`Value`](serde::Value) tree of whatever implements
 //! [`Serialize`]; floats travel as their IEEE-754 bit pattern so a
 //! round-trip is bit-identical, which is what lets a restored deployment
 //! replay the exact golden-hash trajectory of an uninterrupted run.
@@ -487,7 +487,7 @@ impl Source for Decoder<'_> {
 ///
 /// One buffer: the header goes in with zeroed length and CRC fields, the
 /// payload streams in behind it straight from `value` (no intermediate
-/// [`Value`] tree), and the two fields are patched once it is complete.
+/// [`Value`](serde::Value) tree), and the two fields are patched once it is complete.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);

@@ -182,3 +182,59 @@ fn garbage_and_foreign_files_are_rejected_politely() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn crafted_histogram_counts_are_a_typed_error_not_an_overflow() {
+    use glacsweb_obs::{MemoryRecorder, Origin, Recorder};
+    use serde::Value;
+
+    let mut recorder = MemoryRecorder::default();
+    recorder.observe(Origin::new("probe", "P1"), "rssi", 42);
+    let mut tree: Value =
+        glacsweb_snapshot::from_bytes(&glacsweb_snapshot::to_bytes(&recorder)).expect("round trip");
+    // Forge the one histogram: buckets whose u64 sum wraps to 0, and a
+    // total of 0 to match the wrapped sum.
+    let Value::Map(sections) = &mut tree else {
+        panic!("recorder encodes as a map");
+    };
+    let (_, Value::Seq(rows)) = sections
+        .iter_mut()
+        .find(|(k, _)| k.as_str() == Some("histograms"))
+        .expect("histograms section")
+    else {
+        panic!("histograms is a sequence");
+    };
+    let Some(Value::Seq(row)) = rows.first_mut() else {
+        panic!("one histogram row");
+    };
+    let Some(Value::Map(hist)) = row.last_mut() else {
+        panic!("row ends in the histogram");
+    };
+    for (key, value) in hist.iter_mut() {
+        match key.as_str() {
+            Some("counts") => {
+                let Value::Seq(counts) = value else {
+                    panic!("counts is a sequence");
+                };
+                for (i, c) in counts.iter_mut().enumerate() {
+                    *c = Value::U64(match i {
+                        0 => u64::MAX,
+                        1 => 1,
+                        _ => 0,
+                    });
+                }
+            }
+            Some("total") => *value = Value::U64(0),
+            _ => {}
+        }
+    }
+    // Resealed: a fresh envelope whose checksum covers the forged payload.
+    let resealed = glacsweb_snapshot::to_bytes(&tree);
+    match glacsweb_snapshot::from_bytes::<MemoryRecorder>(&resealed) {
+        Err(SnapshotError::Invalid(msg)) => {
+            assert!(msg.contains("do not sum to its total"), "{msg}");
+        }
+        Err(other) => panic!("unexpected error {other}"),
+        Ok(_) => panic!("accepted a histogram whose counts overflow"),
+    }
+}
