@@ -179,7 +179,7 @@ impl Environment {
         let dt_days = dt_hours / 24.0;
         // The tick is fixed, so every per-step transcendental is a run
         // constant — hoist them out of the loop (this loop dominates
-        // long-horizon runs; see BENCH_PERF.json).
+        // long-horizon runs; the benchmark's `deployment.run_s`).
         let target = self.config.cloud_clear_fraction;
         let cloud_decay = (-dt_hours / 8.0).exp();
         let cloud_noise_sd = 0.15 * (1.0 - cloud_decay * cloud_decay).sqrt();

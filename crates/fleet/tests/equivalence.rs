@@ -10,20 +10,23 @@ fn small_config() -> FleetConfig {
 
 /// Leap mode and naive tick mode walk bit-identical trajectories: every
 /// battery/meter bit, OU anomaly, RNG position, schedule cursor and
-/// service counter agrees after a 30-day run.
+/// service counter agrees after a 30-day run, on the small fleet and on
+/// a thousand stations.
 #[test]
 fn leaping_is_bit_identical_to_ticking() {
-    let mut leap = Fleet::new(small_config().leaping(true)).unwrap();
-    let mut tick = Fleet::new(small_config().leaping(false)).unwrap();
-    leap.run_days(30);
-    tick.run_days(30);
-    assert_eq!(
-        leap.state_digest(),
-        tick.state_digest(),
-        "leap and tick kernels diverged"
-    );
-    assert_eq!(leap.telemetry().to_json(), tick.telemetry().to_json());
-    assert_eq!(leap.summary().to_json(), tick.summary().to_json());
+    for config in [small_config(), FleetConfig::new(4, 250).seed(2010)] {
+        let mut leap = Fleet::new(config.clone().leaping(true)).unwrap();
+        let mut tick = Fleet::new(config.leaping(false)).unwrap();
+        leap.run_days(30);
+        tick.run_days(30);
+        assert_eq!(
+            leap.state_digest(),
+            tick.state_digest(),
+            "leap and tick kernels diverged"
+        );
+        assert_eq!(leap.telemetry().to_json(), tick.telemetry().to_json());
+        assert_eq!(leap.summary().to_json(), tick.summary().to_json());
+    }
 }
 
 /// Equivalence holds across interleaved horizons too — leaping must not

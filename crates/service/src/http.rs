@@ -35,7 +35,8 @@
 //!
 //! After the first few requests warm the buffers, serving a request
 //! allocates nothing (pinned by the counting-allocator harness in
-//! `tests/alloc_count.rs` and reported in `BENCH_PERF.json`).
+//! `tests/alloc_count.rs` and measured by the benchmark as
+//! `service.http.allocs_per_req`).
 //!
 //! # Endpoints
 //!
