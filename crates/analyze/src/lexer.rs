@@ -8,10 +8,9 @@
 //! failure modes (`// never call unwrap()` firing the panic rule, or a
 //! log message containing `HashMap` firing the determinism rule).
 //!
-//! Every token carries its byte span (`lo..hi`) so the item parser can
-//! report exact source extents. String and byte-string bodies are fully
-//! opaque: a `}` inside `b"..."` or `br#"..."#` never reaches the
-//! brace-matching layer, which is what keeps item extraction honest.
+//! String and byte-string bodies are fully opaque: a `}` inside
+//! `b"..."` or `br#"..."#` never reaches the brace matching that finds
+//! the extent of a `#[cfg(test)]` item.
 
 /// The coarse class of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +31,7 @@ pub enum TokKind {
     Punct,
 }
 
-/// One lexed token with its source line (1-based) and byte span.
+/// One lexed token with its source line (1-based).
 #[derive(Debug, Clone)]
 pub struct Tok {
     /// Token class.
@@ -42,10 +41,6 @@ pub struct Tok {
     pub text: String,
     /// 1-based line the token starts on.
     pub line: u32,
-    /// Byte offset of the token's first byte in the source.
-    pub lo: u32,
-    /// Byte offset one past the token's last byte.
-    pub hi: u32,
 }
 
 impl Tok {
@@ -77,16 +72,6 @@ fn is_ident_continue(c: char) -> bool {
 /// Tokenizes `src`, discarding comments and whitespace.
 pub fn lex(src: &str) -> Vec<Tok> {
     let chars: Vec<char> = src.chars().collect();
-    // Char index -> byte offset, with a final sentinel at src.len() so
-    // `byte_at(chars.len())` is the end of the source.
-    let mut byte_of: Vec<u32> = Vec::with_capacity(chars.len() + 1);
-    let mut b = 0u32;
-    for c in &chars {
-        byte_of.push(b);
-        b += c.len_utf8() as u32;
-    }
-    byte_of.push(b);
-    let byte_at = |i: usize| byte_of[i.min(byte_of.len() - 1)];
 
     let mut toks = Vec::new();
     let mut i = 0usize;
@@ -136,7 +121,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
         }
         // Plain string literal.
         if c == '"' {
-            let start = i;
             let start_line = line;
             i += 1;
             scan_quoted(&chars, &mut i, &mut line, '"');
@@ -144,14 +128,11 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 kind: TokKind::Str,
                 text: String::new(),
                 line: start_line,
-                lo: byte_at(start),
-                hi: byte_at(i),
             });
             continue;
         }
         // Lifetime or char literal.
         if c == '\'' {
-            let start = i;
             let start_line = line;
             let n1 = at(i + 1);
             let n2 = at(i + 2);
@@ -166,8 +147,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Char,
                     text: String::new(),
                     line: start_line,
-                    lo: byte_at(start),
-                    hi: byte_at(i),
                 });
             } else {
                 // Lifetime: `'` followed by an identifier.
@@ -180,8 +159,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Lifetime,
                     text: chars[name_start..i].iter().collect(),
                     line: start_line,
-                    lo: byte_at(start),
-                    hi: byte_at(i),
                 });
             }
             continue;
@@ -204,8 +181,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Str,
                     text: String::new(),
                     line: start_line,
-                    lo: byte_at(start),
-                    hi: byte_at(i),
                 });
                 continue;
             }
@@ -217,8 +192,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Str,
                     text: String::new(),
                     line: start_line,
-                    lo: byte_at(start),
-                    hi: byte_at(i),
                 });
                 continue;
             }
@@ -229,8 +202,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Char,
                     text: String::new(),
                     line: start_line,
-                    lo: byte_at(start),
-                    hi: byte_at(i),
                 });
                 continue;
             }
@@ -238,8 +209,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 kind: TokKind::Ident,
                 text,
                 line: start_line,
-                lo: byte_at(start),
-                hi: byte_at(i),
             });
             continue;
         }
@@ -298,8 +267,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 },
                 text: chars[start..i].iter().collect(),
                 line: start_line,
-                lo: byte_at(start),
-                hi: byte_at(i),
             });
             continue;
         }
@@ -312,8 +279,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Punct,
                     text: (*op).to_string(),
                     line,
-                    lo: byte_at(i),
-                    hi: byte_at(i + olen),
                 });
                 i += olen;
                 matched = true;
@@ -325,8 +290,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 kind: TokKind::Punct,
                 text: c.to_string(),
                 line,
-                lo: byte_at(i),
-                hi: byte_at(i + 1),
             });
             i += 1;
         }
@@ -509,31 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn byte_spans_slice_back_to_source_text() {
-        let src = "fn héllo(x: u32) -> bool { x == 0xFF }";
+    fn string_bodies_are_single_opaque_tokens() {
+        let src = r####"b"a}b" br#"c"d"# "e{f""####;
         let toks = lex(src);
-        let mut prev_hi = 0u32;
-        for t in &toks {
-            assert!(t.lo >= prev_hi, "spans must be nondecreasing: {t:?}");
-            assert!(t.hi as usize <= src.len(), "span past EOF: {t:?}");
-            // Spans land on char boundaries even around multibyte idents.
-            let slice = &src[t.lo as usize..t.hi as usize];
-            if !t.text.is_empty() {
-                assert_eq!(slice, t.text, "span text mismatch");
-            }
-            prev_hi = t.hi;
-        }
-    }
-
-    #[test]
-    fn string_spans_cover_delimiters() {
-        let src = r####"b"ab" br#"cd"# "ef""####;
-        let toks = lex(src);
-        let spans: Vec<&str> = toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Str)
-            .map(|t| &src[t.lo as usize..t.hi as usize])
-            .collect();
-        assert_eq!(spans, [r#"b"ab""#, r###"br#"cd"#"###, r#""ef""#]);
+        assert_eq!(toks.len(), 3, "{toks:?}");
+        assert!(toks.iter().all(|t| t.kind == TokKind::Str), "{toks:?}");
     }
 }

@@ -11,15 +11,21 @@
 //! table and [`suppress`] for the inline ledger that is the only way to
 //! silence a finding.
 //!
-//! Analysis is one serial pass over the files in sorted path order, in
-//! two phases. Phase one is per-file: lex ([`lexer`]), token rules
-//! ([`rules`]), ledger scan ([`suppress`]), item extraction
-//! ([`parser`]), and fact reduction ([`semantic`]) — a pure function of
-//! one file's text. Phase two joins the per-file facts into a workspace
-//! item table, runs the semantic packs, matches the ledger, and
-//! normalizes findings into a stable order, so the report is
-//! deterministic. A cold run over the whole workspace takes a fraction
-//! of a second, which is why there is neither a cache nor a thread pool.
+//! Analysis is one serial pass over the files in sorted path order.
+//! Each file is lexed ([`lexer`]), run through the token rules
+//! ([`rules`]) and scanned for ledger entries ([`suppress`]) — a pure
+//! function of one file's text — and its findings are matched against
+//! its own ledger. The findings are then normalized into a stable
+//! order, so the report is deterministic. A cold run over the whole
+//! workspace takes a fraction of a second, which is why there is
+//! neither a cache nor a thread pool.
+//!
+//! Invariants a type or rustc can hold are left to them rather than
+//! linted here: memo fields are `Derived<T>` (kept out of snapshots and
+//! equality by the type), every hand-written snapshot codec opens with
+//! an exhaustive `let Self { .. } = self;` destructure (a new field is
+//! a compile error), and the fleet wake draws through a
+//! `SimRng::budget` handle (its raw-draw budget holds by construction).
 //!
 //! The analyzer is deliberately dependency-free: it lexes Rust with its
 //! own comment/string-aware tokenizer rather than `syn`, and reads and
@@ -31,14 +37,11 @@
 
 pub mod json;
 pub mod lexer;
-pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod sarif;
-pub mod semantic;
 pub mod suppress;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -46,77 +49,37 @@ pub use report::Report;
 pub use rules::{Finding, RuleId};
 pub use suppress::Suppression;
 
-use semantic::FileFacts;
-
-/// The result of phase-one analysis of one file: token-rule and
-/// malformed-ledger findings (before suppression matching), the parsed
-/// ledger entries (with `used` unset), and the semantic facts.
-#[derive(Debug, Clone)]
-pub struct FileAnalysis {
-    /// Workspace-relative path, forward slashes.
-    pub rel: String,
-    /// Token-level and malformed-suppression findings.
-    pub findings: Vec<Finding>,
-    /// Parsed ledger entries.
-    pub sups: Vec<Suppression>,
-    /// Facts for the workspace-level semantic packs.
-    pub facts: FileFacts,
-}
-
-/// Phase one: analyzes a single file's source text under its
-/// workspace-relative path (the path determines which rules are in
-/// scope). Pure in `(rel, source)`.
-pub fn analyze_file(rel: &str, source: &str) -> FileAnalysis {
+/// Analyzes one file's source text under its workspace-relative path
+/// (the path determines which rules are in scope): token-rule and
+/// malformed-ledger findings matched against the file's own ledger,
+/// stale entries included, plus the ledger with `used` set. Pure in
+/// `(rel, source)`.
+fn analyze_file(rel: &str, source: &str) -> (Vec<Finding>, Vec<Suppression>) {
     let toks = lexer::lex(source);
     let (mask, test_ranges) = rules::test_mask(&toks);
     let mut findings = rules::check_tokens(rel, &toks, &mask);
-    let (sups, malformed) = suppress::scan(rel, source, &test_ranges);
+    let (mut sups, malformed) = suppress::scan(rel, source, &test_ranges);
     findings.extend(malformed);
-    let items = parser::parse_items(source, &toks, &mask);
-    let facts = semantic::extract_facts(rel, &toks, &items);
-    FileAnalysis {
-        rel: rel.to_string(),
-        findings,
-        sups,
-        facts,
-    }
+    let unused = suppress::apply(&mut findings, &mut sups);
+    findings.extend(unused);
+    (findings, sups)
 }
 
-/// Phase two: joins per-file results into the final report — runs the
-/// semantic packs over the combined fact table, matches the suppression
-/// ledger (which can silence semantic findings too), reports stale
-/// entries, and normalizes ordering.
-fn finish(root_label: &str, mut files: Vec<FileAnalysis>) -> Report {
-    let refs: Vec<&FileFacts> = files.iter().map(|f| &f.facts).collect();
-    let semantic_findings = semantic::check(&refs);
-    let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in semantic_findings {
-        by_file.entry(f.file.clone()).or_default().push(f);
-    }
-
-    let files_scanned = files.len();
+/// Analyzes a set of in-memory `(rel, source)` files as one workspace.
+/// This is the unit the engine tests drive: read the live sources,
+/// apply a textual mutation, and re-run the full engine without touching
+/// disk.
+pub fn analyze_sources(root_label: &str, files: &[(String, String)]) -> Report {
     let mut findings = Vec::new();
     let mut suppressions = Vec::new();
-    for fa in &mut files {
-        let mut f = std::mem::take(&mut fa.findings);
-        if let Some(extra) = by_file.remove(&fa.rel) {
-            f.extend(extra);
-        }
-        let mut sups = std::mem::take(&mut fa.sups);
-        let unused = suppress::apply(&mut f, &mut sups);
-        f.extend(unused);
+    for (rel, source) in files {
+        let (f, sups) = analyze_file(rel, source);
         findings.extend(f);
         suppressions.extend(sups);
     }
-    // Semantic findings can only anchor in analyzed files, but never
-    // drop a finding even if that invariant breaks.
-    for (_, extra) in by_file {
-        findings.extend(extra);
-    }
-
     let mut report = Report {
         root: root_label.to_string(),
-        files_scanned,
+        files_scanned: files.len(),
         findings,
         suppressions,
     };
@@ -124,21 +87,8 @@ fn finish(root_label: &str, mut files: Vec<FileAnalysis>) -> Report {
     report
 }
 
-/// Analyzes a set of in-memory `(rel, source)` files as one workspace.
-/// This is the unit the mutation tests drive: read the live sources,
-/// apply a textual mutation, and re-run the full engine without touching
-/// disk.
-pub fn analyze_sources(root_label: &str, files: &[(String, String)]) -> Report {
-    let analyses: Vec<FileAnalysis> = files
-        .iter()
-        .map(|(rel, source)| analyze_file(rel, source))
-        .collect();
-    finish(root_label, analyses)
-}
-
-/// Single-file compatibility wrapper over the full two-phase engine (the
-/// semantic packs see just this one file's facts). This is the unit the
-/// fixture tests drive.
+/// Single-file wrapper over [`analyze_sources`], normalized the same
+/// way. This is the unit the fixture tests drive.
 pub fn analyze_source(rel: &str, source: &str) -> (Vec<Finding>, Vec<Suppression>) {
     let report = analyze_sources("", &[(rel.to_string(), source.to_string())]);
     (report.findings, report.suppressions)

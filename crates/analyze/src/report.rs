@@ -9,7 +9,8 @@ use crate::rules::{Finding, RuleId};
 use crate::suppress::Suppression;
 
 /// `ANALYSIS.json` format version. 1 was the string-schema token-rule
-/// report; 2 adds the semantic rule packs and the numeric version field.
+/// report; 2 adds the numeric version field. The rule list is data, so
+/// adding or retiring a rule leaves the format alone.
 pub const REPORT_SCHEMA: u64 = 2;
 
 /// The complete result of analyzing a workspace.

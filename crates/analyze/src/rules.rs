@@ -39,10 +39,6 @@ pub enum RuleId {
     CrateHygiene,
     /// Malformed or unused suppression ledger entries.
     SuppressionHygiene,
-    /// Snapshot serde/equality impls missing named fields.
-    SnapshotCoverage,
-    /// Wake-path branches diverging from the declared RNG draw budget.
-    RngDrawBudget,
 }
 
 impl RuleId {
@@ -55,21 +51,17 @@ impl RuleId {
             RuleId::PerfHygiene => "perf-hygiene",
             RuleId::CrateHygiene => "crate-hygiene",
             RuleId::SuppressionHygiene => "suppression-hygiene",
-            RuleId::SnapshotCoverage => "snapshot-coverage",
-            RuleId::RngDrawBudget => "rng-draw-budget",
         }
     }
 
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 8] = [
+    pub const ALL: [RuleId; 6] = [
         RuleId::Determinism,
         RuleId::PanicFreedom,
         RuleId::NumericSafety,
         RuleId::PerfHygiene,
         RuleId::CrateHygiene,
         RuleId::SuppressionHygiene,
-        RuleId::SnapshotCoverage,
-        RuleId::RngDrawBudget,
     ];
 
     /// Parses a rule name as written in a suppression comment.
@@ -101,14 +93,6 @@ impl RuleId {
             RuleId::SuppressionHygiene => {
                 "every `glacsweb: allow(...)` entry must name a real rule, carry a \
                  written reason, and actually suppress something"
-            }
-            RuleId::SnapshotCoverage => {
-                "every named field of a GLACSNAP-codec type must appear in its \
-                 hand-written Serialize, Deserialize, and PartialEq impls"
-            }
-            RuleId::RngDrawBudget => {
-                "every branch of a `glacsweb: draw-budget(N)`-annotated fn must \
-                 retire exactly N raw draws from its SimRng stream"
             }
         }
     }

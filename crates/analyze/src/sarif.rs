@@ -134,10 +134,10 @@ mod tests {
             files_scanned: 1,
             findings: vec![
                 Finding {
-                    rule: RuleId::SnapshotCoverage,
+                    rule: RuleId::PanicFreedom,
                     file: "crates/power/src/rail.rs".into(),
                     line: 92,
-                    message: "field dropped".into(),
+                    message: "unwrap in control path".into(),
                     suppressed: false,
                 },
                 Finding {

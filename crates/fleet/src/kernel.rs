@@ -19,12 +19,12 @@
 //!   `ou(k) = ou₀ · decayᵏ` via
 //!   [`OuStepCache::decay_pow`](glacsweb_env::stepcache::OuStepCache::decay_pow)
 //!   — again one expression, evaluated at whichever `k` a mode needs.
-//! * **RNG**: a sleeping station draws nothing. Every wake retires
-//!   exactly [`RAW_DRAWS_PER_WAKE`] raw draws — the handler's branches
-//!   use what they need and
-//!   [`SimRng::skip_raw`](glacsweb_sim::SimRng::skip_raw) skips the
-//!   rest — so stream positions are a pure function of wake count,
-//!   independent of attach outcomes or tier branches.
+//! * **RNG**: a sleeping station draws nothing. Every wake draws
+//!   through one [`DrawBudget`] of [`RAW_DRAWS_PER_WAKE`] raw draws —
+//!   the handler's branches use what they need, a draw past the budget
+//!   is refused, and closing the handle skips the rest — so stream
+//!   positions are a pure function of wake count, independent of attach
+//!   outcomes or tier branches.
 //! * Everything *observable* — counters, draws with consequences,
 //!   schedule decisions — happens only inside the shared wake handler,
 //!   which both modes call at identical instants.
@@ -39,11 +39,11 @@
 //! current on. Anything that cannot be expressed that way simply
 //! schedules an earlier wake — the leap never crosses an observation.
 
-use glacsweb_sim::{Amps, Celsius, SimTime};
+use glacsweb_sim::{Amps, Celsius, DrawBudget, SimTime};
 
 use crate::site::{
-    classify_tier, Site, SiteEvent, Tier, DEAD_SOC, DT_HOURS, KIND_COMMS, KIND_OVERRIDE,
-    KIND_SAMPLE, RAW_DRAWS_PER_WAKE, RESTART_SOC, TICK,
+    classify_tier, Site, SiteCounters, SiteEvent, Tier, DEAD_SOC, DT_HOURS, KIND_COMMS,
+    KIND_OVERRIDE, KIND_SAMPLE, RAW_DRAWS_PER_WAKE, RESTART_SOC, TICK,
 };
 
 /// Whole ticks between two grid-aligned instants.
@@ -163,7 +163,11 @@ impl Site {
     /// observed or branches on randomness, so tick and leap mode call
     /// it with identical inputs at identical instants.
     ///
-    /// glacsweb: draw-budget(4)
+    /// Its only route to the station's stream is one [`DrawBudget`] of
+    /// [`RAW_DRAWS_PER_WAKE`] raw draws, held for the whole handler:
+    /// whichever branches run, the stream leaves the wake exactly that
+    /// many draws further on, and a draw past the budget is refused and
+    /// counted in [`ExecCounters::overdraws`](crate::site::ExecCounters::overdraws).
     fn wake(&mut self, s: usize, t: SimTime) {
         self.exec.wakes += 1;
         self.storms.ensure(t + TICK);
@@ -176,21 +180,29 @@ impl Site {
         // when this wake samples (sensing), noiselessly otherwise.
         let k = ticks(self.st.glide_start[s], t);
         let at_wake = self.st.ou[s] * self.ou_cache.decay_pow(k, DT_HOURS, theta, sd);
-        let pos0 = self.st.rng[s].position();
+        let (decay, step_sd) = self.ou_cache.coeffs(DT_HOURS, theta, sd);
+        let (site_temp, site_harvest, _) = self.climate.at(&self.params, t);
+        let soc = self.st.battery[s].state_of_charge();
         let entry = self.st.tier[s];
-        let tier = if entry == Tier::Dead {
-            self.wake_dead(s, t, storm, at_wake)
+        let mut draws = self.st.rng[s].budget(RAW_DRAWS_PER_WAKE);
+        let (ou, tier, draw) = if entry == Tier::Dead {
+            // Entered the slot dead: a restart check on the recharging
+            // battery, no sensing, no comms, no draws.
+            self.counters.sample_wakes += 1;
+            let tier = if soc >= RESTART_SOC {
+                self.counters.restarts += 1;
+                Tier::S1
+            } else {
+                Tier::Dead
+            };
+            (at_wake * decay, tier, Tier::Dead.wake_draw_amps())
         } else {
-            let (decay, step_sd) = self.ou_cache.coeffs(DT_HOURS, theta, sd);
             let ou = if kinds & KIND_SAMPLE != 0 {
-                at_wake * decay + self.st.rng[s].normal(0.0, step_sd)
+                // A refused draw senses no noise (and is counted below).
+                at_wake * decay + draws.normal(0.0, step_sd).unwrap_or(0.0)
             } else {
                 at_wake * decay
             };
-            self.st.ou[s] = ou;
-            let (site_temp, site_harvest, _) = self.climate.at(&self.params, t);
-            let temp = site_temp + ou;
-            let soc = self.st.battery[s].state_of_charge();
             let volts = self.st.battery[s]
                 .terminal_voltage(Amps(-entry.wake_draw_amps()))
                 .value();
@@ -199,13 +211,13 @@ impl Site {
             } else {
                 classify_tier(volts)
             };
-            let mut comms = false;
+            let mut gprs = 0.0;
             if tier == Tier::Dead {
                 self.counters.deaths += 1;
             } else {
                 if kinds & KIND_COMMS != 0 {
-                    comms = true;
-                    self.comms_window(s, tier, storm);
+                    gprs = 1.1;
+                    comms_window(&mut self.counters, &mut draws, tier, storm, ou);
                 }
                 if kinds & KIND_OVERRIDE != 0 {
                     self.st.role[s] = self.st.role[s].wrapping_add(1);
@@ -215,62 +227,16 @@ impl Site {
                     self.counters.sample_wakes += 1;
                 }
             }
-            let harvest = if storm { 0.0 } else { site_harvest };
-            let gprs = if comms { 1.1 } else { 0.0 };
-            let draw = tier.wake_draw_amps() + gprs;
-            self.st.battery[s].step(TICK, Amps(harvest - draw), Celsius(temp));
-            tier
+            (ou, tier, tier.wake_draw_amps() + gprs)
         };
-        // Retire the wake's full raw-draw budget: stream position is a
-        // pure function of wake count, whatever branches ran above.
-        let used = self.st.rng[s].position() - pos0;
-        debug_assert!(used <= RAW_DRAWS_PER_WAKE, "wake overdrew its budget");
-        self.st.rng[s].skip_raw(RAW_DRAWS_PER_WAKE - used);
+        if draws.close().is_err() {
+            self.exec.overdraws += 1;
+        }
+        self.st.ou[s] = ou;
+        let harvest = if storm { 0.0 } else { site_harvest };
+        self.st.battery[s].step(TICK, Amps(harvest - draw), Celsius(site_temp + ou));
         self.st.tier[s] = tier;
         self.finish_wake(s, t, tier);
-    }
-
-    /// Wake path for a station that entered the slot dead: a restart
-    /// check on the recharging battery, no sensing, no comms, no draws.
-    fn wake_dead(&mut self, s: usize, t: SimTime, storm: bool, at_wake: f64) -> Tier {
-        self.counters.sample_wakes += 1;
-        let (decay, _) = self
-            .ou_cache
-            .coeffs(DT_HOURS, self.params.ou_theta, self.params.ou_sd);
-        let ou = at_wake * decay;
-        self.st.ou[s] = ou;
-        let soc = self.st.battery[s].state_of_charge();
-        let (site_temp, site_harvest, _) = self.climate.at(&self.params, t);
-        let temp = site_temp + ou;
-        let tier = if soc >= RESTART_SOC {
-            self.counters.restarts += 1;
-            Tier::S1
-        } else {
-            Tier::Dead
-        };
-        let harvest = if storm { 0.0 } else { site_harvest };
-        let draw = Tier::Dead.wake_draw_amps();
-        self.st.battery[s].step(TICK, Amps(harvest - draw), Celsius(temp));
-        tier
-    }
-
-    /// One daily communications window: GPRS attach with one retry,
-    /// classified healthy / degraded / lost.
-    fn comms_window(&mut self, s: usize, tier: Tier, storm: bool) {
-        if storm {
-            self.counters.storm_wakes += 1;
-        }
-        let storm_f = if storm { 0.55 } else { 1.0 };
-        let ou_f = 1.0 - 0.012 * self.st.ou[s].abs();
-        let p = (tier.attach_p() * storm_f * ou_f).clamp(0.01, 0.995);
-        let rng = &mut self.st.rng[s];
-        if rng.f64() < p {
-            self.counters.windows_healthy += 1;
-        } else if rng.f64() < p {
-            self.counters.windows_degraded += 1;
-        } else {
-            self.counters.windows_lost += 1;
-        }
     }
 
     /// Reschedules station `s` after a wake at `t`, freezes the sleep
@@ -352,5 +318,30 @@ impl Site {
         }
         let k = (t.unix() - first.unix()) / period + 1;
         Some(first + glacsweb_sim::SimDuration::from_secs(k * period))
+    }
+}
+
+/// One daily communications window: GPRS attach with one retry,
+/// classified healthy / degraded / lost. It draws through the wake's
+/// budget; a refused draw never attaches.
+fn comms_window(
+    counters: &mut SiteCounters,
+    draws: &mut DrawBudget<'_>,
+    tier: Tier,
+    storm: bool,
+    ou: f64,
+) {
+    if storm {
+        counters.storm_wakes += 1;
+    }
+    let storm_f = if storm { 0.55 } else { 1.0 };
+    let ou_f = 1.0 - 0.012 * ou.abs();
+    let p = (tier.attach_p() * storm_f * ou_f).clamp(0.01, 0.995);
+    if draws.f64().unwrap_or(1.0) < p {
+        counters.windows_healthy += 1;
+    } else if draws.f64().unwrap_or(1.0) < p {
+        counters.windows_degraded += 1;
+    } else {
+        counters.windows_lost += 1;
     }
 }

@@ -20,14 +20,16 @@
 //!   and RNG streams — so the fleet shards site-by-site across the
 //!   [`glacsweb_sweep`] thread pool with an index-ordered merge.
 //! * **Quiescent-station leaping**: a sleeping station whose next event
-//!   is its own wake-up is advanced over the whole sleep window with the
-//!   closed-form leap entry points pinned in PR 5 —
-//!   [`LeadAcidBattery::leap`](glacsweb_power::LeadAcidBattery::leap),
-//!   [`OuStepCache::decay_leap`](glacsweb_env::stepcache::OuStepCache::decay_leap)
-//!   and [`SimRng::skip_raw`](glacsweb_sim::SimRng::skip_raw) — each of
-//!   which replays the exact per-tick recurrence, so leaping is
-//!   **bit-identical** to ticking (asserted by this crate's equivalence
-//!   tests on top of the existing `leap(n) ≡ n×step` proptests).
+//!   is its own wake-up is advanced over the whole sleep window in closed
+//!   form — a battery glide and the OU decay power, the same expressions
+//!   the per-tick path evaluates — so leaping is **bit-identical** to
+//!   ticking (asserted by this crate's equivalence tests).
+//! * **A fixed draw budget per wake**: a sleeping station draws nothing,
+//!   and every wake draws through one
+//!   [`SimRng::budget`](glacsweb_sim::SimRng::budget) handle that refuses
+//!   a draw past the budget and retires exactly the budget on every
+//!   path, so a station's stream position is a pure function of its wake
+//!   count however its sleep windows were crossed.
 //!
 //! # Quick start
 //!

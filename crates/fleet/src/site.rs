@@ -23,11 +23,11 @@ pub const TICK: SimDuration = SimDuration::from_mins(5);
 /// One tick in hours, the `dt` of every per-tick recurrence.
 pub const DT_HOURS: f64 = 1.0 / 12.0;
 
-/// Raw RNG draws budgeted per wake. Every wake consumes exactly this
-/// many raw draws — the handler uses what its branches need and
-/// [`SimRng::skip_raw`](glacsweb_sim::SimRng::skip_raw) retires the
-/// rest — so a station's stream position is a pure function of its wake
-/// count, independent of attach outcomes or tier branches.
+/// Raw RNG draws budgeted per wake. Every wake draws through one
+/// [`SimRng::budget`](glacsweb_sim::SimRng::budget) handle of this many
+/// raw draws, which refuses a draw past it and retires the rest when it
+/// closes — so a station's stream position is a pure function of its
+/// wake count, independent of attach outcomes or tier branches.
 pub const RAW_DRAWS_PER_WAKE: u64 = 4;
 
 /// State of charge below which a station is declared dead at wake.
@@ -388,9 +388,9 @@ pub struct SiteCounters {
     pub sample_wakes: u64,
 }
 
-/// Kernel execution counters for one site — cost accounting only, so
-/// they are *excluded* from summaries, telemetry and digests (tick mode
-/// and leap mode legitimately differ here).
+/// Kernel execution counters for one site — cost accounting plus the
+/// wake overdraw tally, *excluded* from summaries, telemetry and digests
+/// (tick mode and leap mode legitimately differ here).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecCounters {
     /// Events popped from the site wheel.
@@ -405,6 +405,10 @@ pub struct ExecCounters {
     pub segments: u64,
     /// Wake handlers run.
     pub wakes: u64,
+    /// Wakes that asked their draw budget for more than
+    /// [`RAW_DRAWS_PER_WAKE`] raw draws and were refused — a kernel bug,
+    /// which the fleet tests pin at zero in every build profile.
+    pub overdraws: u64,
 }
 
 impl ExecCounters {
@@ -416,6 +420,7 @@ impl ExecCounters {
         self.leaps += other.leaps;
         self.segments += other.segments;
         self.wakes += other.wakes;
+        self.overdraws += other.overdraws;
     }
 }
 

@@ -3,6 +3,7 @@
 //! threads is byte-invisible in every exported artefact.
 
 use glacsweb_fleet::{Fleet, FleetConfig};
+use glacsweb_sim::SimRng;
 
 fn small_config() -> FleetConfig {
     FleetConfig::new(3, 12).seed(2008)
@@ -110,4 +111,33 @@ fn scenario_is_not_degenerate() {
     assert!(summary.storm_wakes > 0, "storms never intersected a window");
     assert!(summary.windows_lost > 0, "attach failures never happened");
     assert!(summary.sample_wakes > 0);
+}
+
+/// Every wake stays inside its draw budget, in both kernel modes and in
+/// every build profile: the wake's draw handle refuses a draw past the
+/// budget and the fleet counts the refusal, and each station's stream
+/// sits exactly four raw draws per wake past the two its construction
+/// took (the storm scenario runs every wake branch: sensing, comms
+/// attach and retry, deaths and restarts).
+#[test]
+fn every_wake_stays_within_its_draw_budget() {
+    for leaping in [true, false] {
+        let config = FleetConfig::new(4, 25)
+            .seed(7)
+            .storms(2.0, 24.0)
+            .leaping(leaping);
+        let mut fleet = Fleet::new(config).unwrap();
+        fleet.run_days(60);
+        let exec = fleet.exec_stats();
+        assert!(exec.wakes > 0);
+        assert_eq!(exec.overdraws, 0, "a wake overdrew its draw budget");
+        let stations: u64 = 4 * 25;
+        let drawn: u64 = fleet
+            .sites()
+            .iter()
+            .flat_map(|site| &site.st.rng)
+            .map(SimRng::position)
+            .sum();
+        assert_eq!(drawn, 2 * stations + 4 * exec.wakes, "leaping {leaping}");
+    }
 }

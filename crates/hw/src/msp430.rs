@@ -52,20 +52,24 @@ pub struct Msp430<S> {
 // crafted snapshot cannot grow the model past its hardware limit.
 impl<S: Serialize> Serialize for Msp430<S> {
     fn to_value(&self) -> Value {
+        let Self {
+            rtc_base,
+            rtc_set_at,
+            schedule,
+            voltage_log,
+            power_losses,
+        } = self;
         Value::Map(vec![
-            (Value::Str("rtc_base".to_string()), self.rtc_base.to_value()),
-            (
-                Value::Str("rtc_set_at".to_string()),
-                self.rtc_set_at.to_value(),
-            ),
-            (Value::Str("schedule".to_string()), self.schedule.to_value()),
+            (Value::Str("rtc_base".to_string()), rtc_base.to_value()),
+            (Value::Str("rtc_set_at".to_string()), rtc_set_at.to_value()),
+            (Value::Str("schedule".to_string()), schedule.to_value()),
             (
                 Value::Str("voltage_log".to_string()),
-                self.voltage_log.to_value(),
+                voltage_log.to_value(),
             ),
             (
                 Value::Str("power_losses".to_string()),
-                self.power_losses.to_value(),
+                power_losses.to_value(),
             ),
         ])
     }

@@ -214,14 +214,15 @@ impl Event {
 // routes it through [`intern`] to get the `'static` reference back.
 impl serde::Serialize for Origin {
     fn to_value(&self) -> serde::Value {
+        let Self { component, station } = self;
         serde::Value::Map(vec![
             (
                 serde::Value::Str("component".to_string()),
-                serde::Value::Str(self.component.to_string()),
+                serde::Value::Str(component.to_string()),
             ),
             (
                 serde::Value::Str("station".to_string()),
-                serde::Value::Str(self.station.to_string()),
+                serde::Value::Str(station.to_string()),
             ),
         ])
     }
@@ -278,22 +279,24 @@ impl serde::Deserialize for Value {
 
 impl serde::Serialize for Event {
     fn to_value(&self) -> serde::Value {
-        let fields = self
-            .fields
+        let Self {
+            at,
+            origin,
+            name,
+            fields,
+        } = self;
+        let fields = fields
             .iter()
             .map(|(k, val)| {
                 serde::Value::Seq(vec![serde::Value::Str((*k).to_string()), val.to_value()])
             })
             .collect();
         serde::Value::Map(vec![
-            (serde::Value::Str("at".to_string()), self.at.to_value()),
-            (
-                serde::Value::Str("origin".to_string()),
-                self.origin.to_value(),
-            ),
+            (serde::Value::Str("at".to_string()), at.to_value()),
+            (serde::Value::Str("origin".to_string()), origin.to_value()),
             (
                 serde::Value::Str("name".to_string()),
-                serde::Value::Str(self.name.to_string()),
+                serde::Value::Str(name.to_string()),
             ),
             (
                 serde::Value::Str("fields".to_string()),

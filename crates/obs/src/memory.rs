@@ -395,16 +395,11 @@ impl Recorder for MemoryRecorder {
 // JSON export.
 impl serde::Serialize for Histogram {
     fn to_value(&self) -> serde::Value {
+        let Self { counts, total, sum } = self;
         serde::Value::Map(vec![
-            (
-                serde::Value::Str("counts".to_string()),
-                self.counts.to_value(),
-            ),
-            (
-                serde::Value::Str("total".to_string()),
-                self.total.to_value(),
-            ),
-            (serde::Value::Str("sum".to_string()), self.sum.to_value()),
+            (serde::Value::Str("counts".to_string()), counts.to_value()),
+            (serde::Value::Str("total".to_string()), total.to_value()),
+            (serde::Value::Str("sum".to_string()), sum.to_value()),
         ])
     }
 }
@@ -438,16 +433,23 @@ impl serde::Deserialize for Histogram {
 
 impl serde::Serialize for MemoryRecorder {
     fn to_value(&self) -> serde::Value {
+        let Self {
+            events,
+            max_events,
+            events_dropped,
+            counters,
+            daily,
+            gauges,
+            histograms,
+        } = self;
         let label = |s: &str| serde::Value::Str(s.to_string());
-        let counters = self
-            .counters
+        let counters = counters
             .iter()
             .map(|((origin, name), v)| {
                 serde::Value::Seq(vec![origin.to_value(), label(name), v.to_value()])
             })
             .collect();
-        let daily = self
-            .daily
+        let daily = daily
             .iter()
             .map(|((date, origin, name), v)| {
                 serde::Value::Seq(vec![
@@ -458,8 +460,7 @@ impl serde::Serialize for MemoryRecorder {
                 ])
             })
             .collect();
-        let gauges = self
-            .gauges
+        let gauges = gauges
             .iter()
             .map(|((origin, name), (at, v))| {
                 serde::Value::Seq(vec![
@@ -470,20 +471,16 @@ impl serde::Serialize for MemoryRecorder {
                 ])
             })
             .collect();
-        let histograms = self
-            .histograms
+        let histograms = histograms
             .iter()
             .map(|((origin, name), h)| {
                 serde::Value::Seq(vec![origin.to_value(), label(name), h.to_value()])
             })
             .collect();
         serde::Value::Map(vec![
-            (label("events"), self.events.to_value()),
-            (
-                label("max_events"),
-                serde::Value::U64(self.max_events as u64),
-            ),
-            (label("events_dropped"), self.events_dropped.to_value()),
+            (label("events"), events.to_value()),
+            (label("max_events"), serde::Value::U64(*max_events as u64)),
+            (label("events_dropped"), events_dropped.to_value()),
             (label("counters"), serde::Value::Seq(counters)),
             (label("daily"), serde::Value::Seq(daily)),
             (label("gauges"), serde::Value::Seq(gauges)),

@@ -58,8 +58,8 @@ pub struct LoadSet {
 // duplicate-key and error behaviour.
 impl Serialize for LoadSet {
     fn to_value(&self) -> serde::Value {
-        let loads = self
-            .loads
+        let Self { loads, total: _ } = self;
+        let loads = loads
             .iter()
             // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
             .map(|(name, l)| (serde::Value::Str(name.clone()), l.to_value()))
@@ -71,10 +71,11 @@ impl Serialize for LoadSet {
     }
 
     fn stream_to<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        let Self { loads, total: _ } = self;
         sink.map(1);
         sink.str("loads");
-        sink.map(self.loads.len());
-        for (name, l) in &self.loads {
+        sink.map(loads.len());
+        for (name, l) in loads {
             sink.str(name);
             l.stream_to(sink);
         }

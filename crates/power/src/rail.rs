@@ -70,29 +70,34 @@ pub struct PowerRail {
 // `chargers`/`harvest_by` alignment invariant that `add_charger` maintains.
 impl Serialize for PowerRail {
     fn to_value(&self) -> Value {
+        let Self {
+            battery,
+            chargers,
+            harvest_by,
+            loads,
+            now,
+            harvested,
+            brownout_secs,
+            output_buf: _,
+            taper: _,
+        } = self;
         Value::Map(vec![
             // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("battery".to_string()), self.battery.to_value()),
+            (Value::Str("battery".to_string()), battery.to_value()),
             // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("chargers".to_string()), self.chargers.to_value()),
-            (
-                // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-                Value::Str("harvest_by".to_string()),
-                self.harvest_by.to_value(),
-            ),
+            (Value::Str("chargers".to_string()), chargers.to_value()),
             // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("loads".to_string()), self.loads.to_value()),
+            (Value::Str("harvest_by".to_string()), harvest_by.to_value()),
             // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("now".to_string()), self.now.to_value()),
-            (
-                // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-                Value::Str("harvested".to_string()),
-                self.harvested.to_value(),
-            ),
+            (Value::Str("loads".to_string()), loads.to_value()),
+            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
+            (Value::Str("now".to_string()), now.to_value()),
+            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
+            (Value::Str("harvested".to_string()), harvested.to_value()),
             (
                 // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
                 Value::Str("brownout_secs".to_string()),
-                self.brownout_secs.to_value(),
+                brownout_secs.to_value(),
             ),
         ])
     }

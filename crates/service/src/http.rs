@@ -94,8 +94,10 @@ pub struct ServerConfig {
     /// Requests served per connection before the server closes it
     /// (bounds how long a connection can monopolise a worker).
     pub max_requests_per_conn: u64,
-    /// Per-read socket timeout; a stalled client gets 408 and the
-    /// connection is dropped, freeing the worker.
+    /// Per-read and per-write socket timeout. A client that stalls
+    /// mid-request gets 408; one that stops reading its responses
+    /// stalls the server's write, which drops the connection as a
+    /// disconnect. Either way the worker is freed.
     pub read_timeout: Duration,
 }
 
@@ -304,7 +306,8 @@ impl ResponseWriter {
     }
 
     /// Writes all pending output to `stream` and clears it (also on
-    /// failure — the connection is dead then).
+    /// failure — the connection is dead then, whether the peer left or
+    /// stopped reading until the write timed out).
     fn flush_to<S: Write>(&mut self, stream: &mut S) -> Result<(), HttpError> {
         if self.out.is_empty() {
             return Ok(());
@@ -434,6 +437,7 @@ fn worker_loop(listener: &TcpListener, stop: &AtomicBool, core: &FleetCore, conf
             return;
         }
         let _ = stream.set_read_timeout(Some(config.read_timeout));
+        let _ = stream.set_write_timeout(Some(config.read_timeout));
         let _ = stream.set_nodelay(true);
         serve_stream(&mut stream, core, config, &mut conn);
     }

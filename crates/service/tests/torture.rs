@@ -244,3 +244,64 @@ fn mid_request_disconnect_leaves_no_partial_state() {
     assert_eq!(core.soc_histogram().samples, 1);
     server.shutdown();
 }
+
+/// A client that pipelines requests but never reads its responses must
+/// not pin a worker: once the server's writes stall for the socket
+/// timeout, it drops the connection as it would a disconnect, and the
+/// next client is served.
+#[test]
+fn a_pipeliner_that_never_reads_cannot_pin_the_only_worker() {
+    let timeout = Duration::from_millis(200);
+    let core = Arc::new(FleetCore::new(8, 2).expect("valid core"));
+    let server = HttpServer::start(
+        Arc::clone(&core),
+        &ServerConfig {
+            workers: 1,
+            read_timeout: timeout,
+            // No request cap: it must be the stalled write that frees
+            // the worker, not the cap closing the connection.
+            max_requests_per_conn: u64::MAX,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.addr();
+
+    // Pipeline until our own writes stall: by then the server has
+    // stopped reading, because its writes to us are blocked.
+    let mut pipeliner = TcpStream::connect(addr).expect("connect");
+    pipeliner
+        .set_write_timeout(Some(timeout * 2))
+        .expect("timeout");
+    let batch = b"GET /health HTTP/1.1\r\n\r\n".repeat(256);
+    let mut sent = 0usize;
+    while pipeliner.write_all(&batch).is_ok() {
+        sent += batch.len();
+        assert!(sent < 1 << 30, "the server never pushed back");
+    }
+
+    // A healthy client then gets its answer within ten timeouts.
+    let bound = timeout * 10;
+    let started = std::time::Instant::now();
+    let answer = (|| {
+        let mut s = TcpStream::connect(addr)?;
+        s.set_read_timeout(Some(bound))?;
+        s.write_all(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")?;
+        let mut out = Vec::new();
+        s.read_to_end(&mut out)?;
+        Ok::<_, std::io::Error>(out)
+    })();
+    let elapsed = started.elapsed();
+
+    // Release the worker before any assertion can fail, so the server
+    // shuts down even where the stall pinned it.
+    drop(pipeliner);
+    server.shutdown();
+
+    let response = answer.expect("healthy client answered before its read timeout");
+    assert_eq!(status_of(&response), Some(200));
+    assert!(
+        elapsed < bound,
+        "answered after {elapsed:?}, bound {bound:?}"
+    );
+}

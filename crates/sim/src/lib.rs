@@ -52,7 +52,7 @@ mod wheel;
 
 pub use config_error::ConfigError;
 pub use derived::Derived;
-pub use rng::SimRng;
+pub use rng::{DrawBudget, Overdraw, SimRng};
 pub use series::{SeriesStats, TimeSeries};
 pub use time::{CivilDate, SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLevel, TraceLog};

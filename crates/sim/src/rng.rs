@@ -7,6 +7,8 @@
 //! `rand` releases — an identical seed must regenerate an identical
 //! deployment, which the integration tests assert.
 
+use std::fmt;
+
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -113,6 +115,25 @@ impl SimRng {
             self.pos
         );
         self.skip_raw(target - self.pos);
+    }
+
+    /// Opens a handle that may take at most `n` raw draws from this
+    /// stream and, when it drops, retires whatever it did not take.
+    ///
+    /// Whatever path the holder takes — all `n` draws, fewer, none, or a
+    /// refused draw past the allowance — the stream ends exactly `n` raw
+    /// outputs past where the handle opened it, so the position is a
+    /// pure function of how many handles the stream has served. The
+    /// stream is borrowed for the handle's life: nothing else can draw
+    /// from it meanwhile.
+    pub fn budget(&mut self, n: u64) -> DrawBudget<'_> {
+        let end = self.pos.wrapping_add(n);
+        DrawBudget {
+            rng: self,
+            budget: n,
+            end,
+            refused: None,
+        }
     }
 
     /// Derives an independent child generator for a named stream.
@@ -223,6 +244,125 @@ impl SimRng {
         &items[self.below(items.len() as u64) as usize]
     }
 }
+
+/// A fixed allowance of raw draws from one [`SimRng`], opened with
+/// [`SimRng::budget`].
+///
+/// Draws go through the handle. One that would take the stream past the
+/// allowance is refused with an [`Overdraw`] and leaves the generator
+/// untouched; the handle remembers the first refusal and
+/// [`DrawBudget::close`] reports it. Dropping the handle (closing is one
+/// way) skips the stream to exactly the allowance, so every path through
+/// the holder retires the same number of raw draws.
+///
+/// The Box–Muller spare belongs to the generator: a
+/// [`DrawBudget::normal`] served from a cached spare costs no raw draw,
+/// and a spare cached when the handle drops stays cached, exactly as if
+/// the holder had called [`SimRng::normal`] and then
+/// [`SimRng::skip_raw`] for the rest of the allowance.
+///
+/// # Example
+///
+/// ```
+/// use glacsweb_sim::SimRng;
+///
+/// let mut rng = SimRng::seed_from(7);
+/// let mut draws = rng.budget(2);
+/// assert!(draws.f64().is_ok());
+/// assert!(draws.f64().is_ok());
+/// assert!(draws.f64().is_err()); // a third draw is refused...
+/// assert!(draws.close().is_err()); // ...and reported at close
+/// assert_eq!(rng.position(), 2);
+/// ```
+#[derive(Debug)]
+pub struct DrawBudget<'r> {
+    rng: &'r mut SimRng,
+    budget: u64,
+    /// The stream position the handle retires to.
+    end: u64,
+    /// The first draw the handle refused.
+    refused: Option<Overdraw>,
+}
+
+impl DrawBudget<'_> {
+    /// Raw draws left in the allowance.
+    fn remaining(&self) -> u64 {
+        self.end.wrapping_sub(self.rng.pos)
+    }
+
+    /// [`SimRng::f64`] through the allowance: one raw draw.
+    pub fn f64(&mut self) -> Result<f64, Overdraw> {
+        self.take(1)?;
+        Ok(self.rng.f64())
+    }
+
+    /// [`SimRng::normal`] through the allowance: two raw draws, or none
+    /// when the generator holds a cached Box–Muller spare.
+    pub fn normal(&mut self, mean: f64, std_dev: f64) -> Result<f64, Overdraw> {
+        let raws = if self.rng.spare_normal.is_some() {
+            0
+        } else {
+            2
+        };
+        self.take(raws)?;
+        Ok(self.rng.normal(mean, std_dev))
+    }
+
+    /// Retires the rest of the allowance and reports the first draw the
+    /// handle refused, if any.
+    pub fn close(self) -> Result<(), Overdraw> {
+        match self.refused {
+            Some(overdraw) => Err(overdraw),
+            None => Ok(()),
+        }
+    }
+
+    fn take(&mut self, raws: u64) -> Result<(), Overdraw> {
+        let left = self.remaining();
+        if raws <= left {
+            return Ok(());
+        }
+        let overdraw = Overdraw {
+            budget: self.budget,
+            needed: raws,
+            left,
+        };
+        self.refused.get_or_insert(overdraw);
+        Err(overdraw)
+    }
+}
+
+impl Drop for DrawBudget<'_> {
+    fn drop(&mut self) {
+        // Draws are only taken within the allowance, so this never
+        // exceeds it.
+        self.rng.skip_raw(self.remaining());
+    }
+}
+
+/// A draw a [`DrawBudget`] refused because it needed more raw draws than
+/// the allowance had left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Overdraw {
+    /// The handle's allowance, in raw draws.
+    pub budget: u64,
+    /// Raw draws the refused call needed.
+    pub needed: u64,
+    /// Raw draws the allowance had left.
+    pub left: u64,
+}
+
+impl fmt::Display for Overdraw {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "draw of {} raw outputs refused: {} of a budget of {} left",
+            self.needed, self.left, self.budget
+        )
+    }
+}
+
+impl std::error::Error for Overdraw {}
 
 /// One xoshiro256++ state transition — the linear part of
 /// [`SimRng::raw_next_u64`], with no output computed. Every operation
@@ -485,7 +625,161 @@ mod tests {
         rng.seek(2);
     }
 
+    /// Bit-for-bit generator state: the xoshiro words, the position and
+    /// the Box–Muller spare's bits.
+    fn state_bits(rng: &SimRng) -> ([u64; 4], u64, Option<u64>) {
+        (rng.s, rng.pos, rng.spare_normal.map(f64::to_bits))
+    }
+
+    #[test]
+    fn budget_retires_exactly_n_for_every_use_count() {
+        const N: u64 = 4;
+        for used in 0..=N {
+            let mut handled = SimRng::seed_from(61);
+            let mut reference = SimRng::seed_from(61);
+            reference.skip_raw(N);
+            let mut draws = handled.budget(N);
+            for _ in 0..used {
+                draws.f64().expect("within budget");
+            }
+            assert_eq!(draws.remaining(), N - used);
+            assert_eq!(draws.close(), Ok(()));
+            assert_eq!(handled.position(), N, "used {used}");
+            assert_eq!(state_bits(&handled), state_bits(&reference), "used {used}");
+        }
+    }
+
+    #[test]
+    fn budget_keeps_box_muller_spare_parity() {
+        // No cached spare: the normal costs a raw pair and caches the
+        // spare, which outlives the handle.
+        let mut handled = SimRng::seed_from(62);
+        let mut reference = SimRng::seed_from(62);
+        let mut draws = handled.budget(4);
+        let z = draws.normal(1.0, 2.0).expect("within budget");
+        assert_eq!(draws.remaining(), 2);
+        drop(draws);
+        assert_eq!(z.to_bits(), reference.normal(1.0, 2.0).to_bits());
+        reference.skip_raw(2);
+        assert!(handled.spare_normal.is_some());
+        assert_eq!(state_bits(&handled), state_bits(&reference));
+
+        // A cached spare: the normal is free, so the whole allowance is
+        // still there for uniforms.
+        let mut draws = handled.budget(4);
+        let spare = draws.normal(1.0, 2.0).expect("spare is free");
+        assert_eq!(draws.remaining(), 4);
+        let uniforms: Vec<u64> = (0..4)
+            .map(|_| draws.f64().expect("within budget").to_bits())
+            .collect();
+        assert_eq!(draws.close(), Ok(()));
+        assert_eq!(spare.to_bits(), reference.normal(1.0, 2.0).to_bits());
+        let expected: Vec<u64> = (0..4).map(|_| reference.f64().to_bits()).collect();
+        assert_eq!(uniforms, expected);
+        assert!(handled.spare_normal.is_none());
+        assert_eq!(state_bits(&handled), state_bits(&reference));
+    }
+
+    #[test]
+    fn overdraw_is_a_typed_result_and_leaves_the_stream_alone() {
+        let mut handled = SimRng::seed_from(63);
+        let mut reference = SimRng::seed_from(63);
+        let mut draws = handled.budget(4);
+        for _ in 0..3 {
+            draws.f64().expect("within budget");
+        }
+        // One raw draw left: a fresh Box–Muller pair does not fit.
+        assert_eq!(
+            draws.normal(0.0, 1.0),
+            Err(Overdraw {
+                budget: 4,
+                needed: 2,
+                left: 1
+            })
+        );
+        draws.f64().expect("the last draw still fits");
+        // The fifth raw draw is refused, in every build profile.
+        assert_eq!(
+            draws.f64(),
+            Err(Overdraw {
+                budget: 4,
+                needed: 1,
+                left: 0
+            })
+        );
+        assert_eq!(draws.remaining(), 0);
+        // Close reports the first refusal.
+        assert_eq!(
+            draws.close(),
+            Err(Overdraw {
+                budget: 4,
+                needed: 2,
+                left: 1
+            })
+        );
+        reference.skip_raw(4);
+        assert_eq!(state_bits(&handled), state_bits(&reference));
+    }
+
     proptest! {
+        /// The handle against the code it replaced: draw straight from
+        /// the generator, note `position()` first, refuse what would
+        /// pass the budget, then `skip_raw` the rest.
+        #[test]
+        fn budget_matches_position_and_skip_raw(
+            seed in any::<u64>(),
+            cached_spare in any::<bool>(),
+            n in 0u64..8,
+            // `true` asks for a normal, `false` for a uniform.
+            ops in proptest::collection::vec(any::<bool>(), 0..12),
+        ) {
+            let mut handled = SimRng::seed_from(seed);
+            if cached_spare {
+                handled.normal(0.0, 1.0);
+            }
+            let mut reference = handled.clone();
+
+            let mut got = Vec::new();
+            let mut draws = handled.budget(n);
+            for &normal in &ops {
+                got.push(if normal {
+                    draws.normal(0.5, 2.0).map(f64::to_bits)
+                } else {
+                    draws.f64().map(f64::to_bits)
+                });
+            }
+            let closed = draws.close();
+
+            let pos0 = reference.position();
+            let mut want = Vec::new();
+            let mut first_refusal = None;
+            for &normal in &ops {
+                let needed = match (normal, reference.spare_normal) {
+                    (false, _) => 1,
+                    (true, Some(_)) => 0,
+                    (true, None) => 2,
+                };
+                let left = n - (reference.position() - pos0);
+                if needed > left {
+                    let overdraw = Overdraw { budget: n, needed, left };
+                    first_refusal.get_or_insert(overdraw);
+                    want.push(Err(overdraw));
+                    continue;
+                }
+                want.push(Ok(if normal {
+                    reference.normal(0.5, 2.0).to_bits()
+                } else {
+                    reference.f64().to_bits()
+                }));
+            }
+            let used = reference.position() - pos0;
+            reference.skip_raw(n - used);
+
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(closed, first_refusal.map_or(Ok(()), Err));
+            prop_assert_eq!(state_bits(&handled), state_bits(&reference));
+        }
+
         #[test]
         fn skip_raw_equals_n_draws(seed in any::<u64>(), n in 0u64..4096) {
             let mut skipped = SimRng::seed_from(seed);

@@ -173,8 +173,9 @@ impl<E> FromIterator<(SimTime, E)> for EventWheel<E> {
 // exactly the order the saved one would have.
 impl<E: Serialize> Serialize for EventWheel<E> {
     fn to_value(&self) -> Value {
-        let mut entries = Vec::with_capacity(self.len);
-        for (t, bucket) in &self.calendar {
+        let Self { calendar, seq, len } = self;
+        let mut entries = Vec::with_capacity(*len);
+        for (t, bucket) in calendar {
             for (tag, event) in bucket {
                 entries.push(Value::Seq(vec![
                     t.to_value(),
@@ -185,7 +186,7 @@ impl<E: Serialize> Serialize for EventWheel<E> {
         }
         Value::Map(vec![
             // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("seq".to_string()), self.seq.to_value()),
+            (Value::Str("seq".to_string()), seq.to_value()),
             // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
             (Value::Str("entries".to_string()), Value::Seq(entries)),
         ])
@@ -202,7 +203,8 @@ where
             .get("entries")
             .and_then(Value::as_seq)
             .ok_or_else(|| de::Error::custom("event wheel: missing `entries` sequence"))?;
-        let mut wheel = EventWheel::new();
+        let mut calendar: BTreeMap<SimTime, VecDeque<(u64, E)>> = BTreeMap::new();
+        let mut len = 0;
         for entry in entries {
             let s = entry
                 .as_seq()
@@ -221,17 +223,16 @@ where
                     "event wheel entry tag {tag} not below arrival counter {seq}"
                 )));
             }
-            wheel
-                .calendar
+            calendar
                 .entry(t)
                 .or_default()
                 .push_back((tag, E::from_value(event_v)?));
-            wheel.len += 1;
+            len += 1;
         }
         // Arrival tags must be strictly increasing within each bucket —
         // anything else would replay events in an order the saved run
         // never took.
-        for bucket in wheel.calendar.values() {
+        for bucket in calendar.values() {
             let ordered = bucket
                 .iter()
                 .zip(bucket.iter().skip(1))
@@ -242,8 +243,7 @@ where
                 ));
             }
         }
-        wheel.seq = seq;
-        Ok(wheel)
+        Ok(EventWheel { calendar, seq, len })
     }
 }
 
