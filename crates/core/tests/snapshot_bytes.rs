@@ -1,15 +1,14 @@
-//! Snapshot bytes are the checkpoint's contract, so the encoder that
-//! streams a [`DeploymentState`] straight into the envelope must write
-//! exactly the bytes of encoding its `to_value()` tree — at any seed, any
-//! checkpoint instant, and mid-outage with a fault plan and telemetry
-//! recorders in the state. The 60-day Iceland checkpoint is pinned by
-//! digest so a change that moved both paths at once is caught too.
+//! Snapshot bytes are the checkpoint's contract: the 60-day Iceland
+//! checkpoint is pinned by digest, and a [`DeploymentState`] must
+//! round-trip to the same bytes at any seed, any checkpoint instant, and
+//! mid-outage with a fault plan and telemetry recorders in the state.
 //!
-//! The decoder that reads a `DeploymentState` straight from the payload
-//! is held to the tree path it replaced (the payload's `Value` tree, then
-//! `from_value`) on the same states, and on corrupted payloads re-sealed
-//! with a valid checksum: the same value, or the same error variant with
-//! the same message.
+//! The binary decoder that reads a `DeploymentState` straight from the
+//! payload is held to a second path over the same bytes (the payload's
+//! `Value` tree, then the same type decoded through a `ValueSource`) on
+//! those states, and on corrupted payloads re-sealed with a valid
+//! checksum: the same value, or the same error variant with the same
+//! message.
 
 use glacsweb::{
     Deployment, DeploymentState, Fault, FaultPlan, FaultSpec, FaultTarget, Scenario, SnapshotError,
@@ -20,7 +19,7 @@ use glacsweb_sim::{SimDuration, SimTime};
 use glacsweb_snapshot::{crc32, from_bytes, to_bytes, HEADER_LEN};
 use glacsweb_station::StationConfig;
 use proptest::TestRng;
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 
 /// FNV-1a (64-bit) of `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -41,11 +40,11 @@ fn fig5(seed: u64) -> glacsweb::DeploymentBuilder {
         .probes(4)
 }
 
-/// The decode path the streaming one replaced: the whole payload as a
-/// `Value` tree, then `from_value`.
+/// The tree path: the whole payload as a `Value` tree, then the state
+/// read from that tree.
 fn tree_decode(bytes: &[u8]) -> Result<DeploymentState, SnapshotError> {
     let tree: Value = from_bytes(bytes)?;
-    Ok(DeploymentState::from_value(&tree)?)
+    Ok(tree.decode()?)
 }
 
 fn variant(e: &SnapshotError) -> &'static str {
@@ -84,14 +83,8 @@ fn assert_decodes_agree(bytes: &[u8], what: &str) -> Result<DeploymentState, Sna
     streamed
 }
 
-fn assert_streamed_equals_tree(d: &Deployment, what: &str) {
-    let state = d.snapshot();
-    let streamed = to_bytes(&state);
-    let tree = to_bytes(&state.to_value());
-    assert!(
-        streamed == tree,
-        "{what}: streamed snapshot differs from the tree encoding"
-    );
+fn assert_round_trips(d: &Deployment, what: &str) {
+    let streamed = to_bytes(&d.snapshot());
     let decoded = assert_decodes_agree(&streamed, what)
         .unwrap_or_else(|e| panic!("{what}: a fresh snapshot fails to decode: {e}"));
     assert!(
@@ -205,19 +198,19 @@ fn corrupted_payloads_fail_as_the_tree_path_fails() {
 }
 
 #[test]
-fn streamed_deployment_state_equals_the_tree_encoding() {
+fn deployment_state_round_trips_on_both_decode_paths() {
     for seed in [1, 401, 2008] {
         let mut d = fig5(seed).build();
-        assert_streamed_equals_tree(&d, &format!("seed {seed}, day 0"));
+        assert_round_trips(&d, &format!("seed {seed}, day 0"));
         for day in [7, 45] {
             d.run_until(d.start() + SimDuration::from_days(day) + SimDuration::from_hours(13));
-            assert_streamed_equals_tree(&d, &format!("seed {seed}, day {day}"));
+            assert_round_trips(&d, &format!("seed {seed}, day {day}"));
         }
     }
 }
 
 #[test]
-fn streamed_state_equals_the_tree_mid_outage_with_telemetry() {
+fn state_round_trips_mid_outage_with_telemetry() {
     let plan = FaultPlan::new()
         .with(FaultSpec {
             fault: Fault::ServerUnreachable,
@@ -238,7 +231,7 @@ fn streamed_state_equals_the_tree_mid_outage_with_telemetry() {
     // stranded backlog, and recorders full of events.
     d.run_until(d.start() + SimDuration::from_days(20) + SimDuration::from_hours(15));
     assert!(d.telemetry().is_some(), "observability is on");
-    assert_streamed_equals_tree(&d, "mid-outage");
+    assert_round_trips(&d, "mid-outage");
 }
 
 #[test]

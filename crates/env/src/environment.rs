@@ -1,7 +1,7 @@
 //! The composed environment façade.
 
 use glacsweb_sim::{Derived, SimRng, SimTime};
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Serialize, Source};
 
 use crate::cafe::cafe_mains_available;
 use crate::config::EnvConfig;
@@ -69,8 +69,37 @@ pub struct Environment {
 // memos are derived state — they restart empty and refill bit-identically
 // on first use.
 impl Deserialize for Environment {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let config: EnvConfig = de::field(v, "config")?;
+    fn stream_from<S: Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
+        let (mut config, mut solar, mut temperature, mut wind) = (None, None, None, None);
+        let (mut snow, mut hydrology, mut motion, mut cloud_factor) = (None, None, None, None);
+        let (mut rng, mut now, mut started) = (None, None, None);
+        let names = [
+            "config",
+            "solar",
+            "temperature",
+            "wind",
+            "snow",
+            "hydrology",
+            "motion",
+            "cloud_factor",
+            "rng",
+            "now",
+            "started",
+        ];
+        let mut f = de::Fields::read(src, names, |f, src, i| match i {
+            0 => f.decode(src, &mut config),
+            1 => f.decode(src, &mut solar),
+            2 => f.decode(src, &mut temperature),
+            3 => f.decode(src, &mut wind),
+            4 => f.decode(src, &mut snow),
+            5 => f.decode(src, &mut hydrology),
+            6 => f.decode(src, &mut motion),
+            7 => f.decode(src, &mut cloud_factor),
+            8 => f.decode(src, &mut rng),
+            9 => f.decode(src, &mut now),
+            _ => f.decode(src, &mut started),
+        })?;
+        let config: EnvConfig = f.take(0, config)?;
         if let Err(e) = config.validate() {
             // glacsweb: allow(perf-hygiene, reason = "restore-time error path; runs once per snapshot load, never per substep")
             return Err(de::Error::custom(format!(
@@ -79,16 +108,16 @@ impl Deserialize for Environment {
         }
         Ok(Environment {
             config,
-            solar: de::field(v, "solar")?,
-            temperature: de::field(v, "temperature")?,
-            wind: de::field(v, "wind")?,
-            snow: de::field(v, "snow")?,
-            hydrology: de::field(v, "hydrology")?,
-            motion: de::field(v, "motion")?,
-            cloud_factor: de::field(v, "cloud_factor")?,
-            rng: de::field(v, "rng")?,
-            now: de::field(v, "now")?,
-            started: de::field(v, "started")?,
+            solar: f.take(1, solar)?,
+            temperature: f.take(2, temperature)?,
+            wind: f.take(3, wind)?,
+            snow: f.take(4, snow)?,
+            hydrology: f.take(5, hydrology)?,
+            motion: f.take(6, motion)?,
+            cloud_factor: f.take(7, cloud_factor)?,
+            rng: f.take(8, rng)?,
+            now: f.take(9, now)?,
+            started: f.take(10, started)?,
             solar_day: Derived::default(),
             cos_hour: Derived::default(),
         })

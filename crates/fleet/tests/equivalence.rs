@@ -9,6 +9,18 @@ fn small_config() -> FleetConfig {
     FleetConfig::new(3, 12).seed(2008)
 }
 
+/// Every station's whole RNG state, site by site: the xoshiro words, the
+/// cached Box–Muller spare and the position. `state_digest` hashes only
+/// the position, so two streams that agree on it but not on a word or
+/// the spare are told apart here.
+fn rngs(fleet: &Fleet) -> Vec<Vec<SimRng>> {
+    fleet
+        .sites()
+        .iter()
+        .map(|site| site.st.rng.clone())
+        .collect()
+}
+
 /// Leap mode and naive tick mode walk bit-identical trajectories: every
 /// battery/meter bit, OU anomaly, RNG position, schedule cursor and
 /// service counter agrees after a 30-day run, on the small fleet and on
@@ -24,6 +36,10 @@ fn leaping_is_bit_identical_to_ticking() {
             leap.state_digest(),
             tick.state_digest(),
             "leap and tick kernels diverged"
+        );
+        assert!(
+            rngs(&leap) == rngs(&tick),
+            "leap and tick RNG states diverged"
         );
         assert_eq!(leap.telemetry().to_json(), tick.telemetry().to_json());
         assert_eq!(leap.summary().to_json(), tick.summary().to_json());
@@ -43,6 +59,10 @@ fn leaping_is_bit_identical_under_ragged_horizons() {
             leap.state_digest(),
             tick.state_digest(),
             "diverged at a ragged horizon"
+        );
+        assert!(
+            rngs(&leap) == rngs(&tick),
+            "RNG states diverged at a ragged horizon"
         );
     }
 }
@@ -77,6 +97,10 @@ fn thread_count_is_byte_invisible() {
     eight.set_threads(8);
     eight.run_days(20);
     assert_eq!(one.state_digest(), eight.state_digest());
+    assert!(
+        rngs(&one) == rngs(&eight),
+        "RNG states depend on the thread count"
+    );
     assert_eq!(one.telemetry().to_json(), eight.telemetry().to_json());
     assert_eq!(one.summary().to_json(), eight.summary().to_json());
 }

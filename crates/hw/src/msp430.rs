@@ -1,7 +1,7 @@
 //! The MSP430 supervisor: the always-on, ultra-low-power half of Gumsense.
 
 use glacsweb_sim::{SimTime, Volts, Watts};
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Serialize, Sink, Source};
 
 use crate::table1;
 
@@ -51,7 +51,7 @@ pub struct Msp430<S> {
 // re-imposes the voltage-log capacity bound so an oversized log in a
 // crafted snapshot cannot grow the model past its hardware limit.
 impl<S: Serialize> Serialize for Msp430<S> {
-    fn to_value(&self) -> Value {
+    fn stream_to<K: Sink + ?Sized>(&self, sink: &mut K) {
         let Self {
             rtc_base,
             rtc_set_at,
@@ -59,25 +59,39 @@ impl<S: Serialize> Serialize for Msp430<S> {
             voltage_log,
             power_losses,
         } = self;
-        Value::Map(vec![
-            (Value::Str("rtc_base".to_string()), rtc_base.to_value()),
-            (Value::Str("rtc_set_at".to_string()), rtc_set_at.to_value()),
-            (Value::Str("schedule".to_string()), schedule.to_value()),
-            (
-                Value::Str("voltage_log".to_string()),
-                voltage_log.to_value(),
-            ),
-            (
-                Value::Str("power_losses".to_string()),
-                power_losses.to_value(),
-            ),
-        ])
+        sink.map(5);
+        sink.str("rtc_base");
+        rtc_base.stream_to(sink);
+        sink.str("rtc_set_at");
+        rtc_set_at.stream_to(sink);
+        sink.str("schedule");
+        schedule.stream_to(sink);
+        sink.str("voltage_log");
+        voltage_log.stream_to(sink);
+        sink.str("power_losses");
+        power_losses.stream_to(sink);
     }
 }
 
 impl<S: Deserialize> Deserialize for Msp430<S> {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let voltage_log: Vec<(SimTime, Volts)> = de::field(v, "voltage_log")?;
+    fn stream_from<R: Source + ?Sized>(src: &mut R) -> Result<Self, de::Error> {
+        let (mut voltage_log, mut rtc_base, mut rtc_set_at) = (None, None, None);
+        let (mut schedule, mut power_losses) = (None, None);
+        let names = [
+            "voltage_log",
+            "rtc_base",
+            "rtc_set_at",
+            "schedule",
+            "power_losses",
+        ];
+        let mut f = de::Fields::read(src, names, |f, src, i| match i {
+            0 => f.decode(src, &mut voltage_log),
+            1 => f.decode(src, &mut rtc_base),
+            2 => f.decode(src, &mut rtc_set_at),
+            3 => f.decode(src, &mut schedule),
+            _ => f.decode(src, &mut power_losses),
+        })?;
+        let voltage_log: Vec<(SimTime, Volts)> = f.take(0, voltage_log)?;
         if voltage_log.len() > Self::VOLTAGE_LOG_CAP {
             return Err(de::Error::custom(format!(
                 "msp430 voltage log holds {} samples, capacity is {}",
@@ -86,11 +100,11 @@ impl<S: Deserialize> Deserialize for Msp430<S> {
             )));
         }
         Ok(Msp430 {
-            rtc_base: de::field(v, "rtc_base")?,
-            rtc_set_at: de::field(v, "rtc_set_at")?,
-            schedule: de::field(v, "schedule")?,
+            rtc_base: f.take(1, rtc_base)?,
+            rtc_set_at: f.take(2, rtc_set_at)?,
+            schedule: f.take(3, schedule)?,
             voltage_log,
-            power_losses: de::field(v, "power_losses")?,
+            power_losses: f.take(4, power_losses)?,
         })
     }
 }

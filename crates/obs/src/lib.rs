@@ -56,6 +56,8 @@ pub use ndjson::{NdjsonWriter, NDJSON_SCHEMA};
 use std::fmt;
 
 use glacsweb_sim::SimTime;
+use serde::de;
+use serde::Deserialize as _;
 
 /// Interns a label into the process-wide `&'static str` pool.
 ///
@@ -213,25 +215,25 @@ impl Event {
 // `&'static str` labels: serialization writes the label text, restore
 // routes it through [`intern`] to get the `'static` reference back.
 impl serde::Serialize for Origin {
-    fn to_value(&self) -> serde::Value {
+    fn stream_to<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
         let Self { component, station } = self;
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("component".to_string()),
-                serde::Value::Str(component.to_string()),
-            ),
-            (
-                serde::Value::Str("station".to_string()),
-                serde::Value::Str(station.to_string()),
-            ),
-        ])
+        sink.map(2);
+        sink.str("component");
+        sink.str(component);
+        sink.str("station");
+        sink.str(station);
     }
 }
 
 impl serde::Deserialize for Origin {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let component: String = serde::de::field(v, "component")?;
-        let station: String = serde::de::field(v, "station")?;
+    fn stream_from<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
+        let (mut component, mut station) = (None, None);
+        let mut f = de::Fields::read(src, ["component", "station"], |f, src, i| match i {
+            0 => f.decode(src, &mut component),
+            _ => f.decode(src, &mut station),
+        })?;
+        let component: String = f.take(0, component)?;
+        let station: String = f.take(1, station)?;
         Ok(Origin {
             component: intern(&component),
             station: intern(&station),
@@ -242,35 +244,43 @@ impl serde::Deserialize for Origin {
 // Externally tagged, matching the shape the vendored derive would emit
 // for a data-carrying enum: `{"U64": 3}`.
 impl serde::Serialize for Value {
-    fn to_value(&self) -> serde::Value {
-        let (tag, inner) = match self {
-            Value::U64(v) => ("U64", serde::Value::U64(*v)),
-            Value::I64(v) => ("I64", serde::Value::I64(*v)),
-            Value::F64(v) => ("F64", serde::Value::F64(*v)),
-            Value::Bool(v) => ("Bool", serde::Value::Bool(*v)),
-            Value::Str(v) => ("Str", serde::Value::Str(v.clone())),
+    fn stream_to<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        let tag = match self {
+            Value::U64(_) => "U64",
+            Value::I64(_) => "I64",
+            Value::F64(_) => "F64",
+            Value::Bool(_) => "Bool",
+            Value::Str(_) => "Str",
         };
-        serde::Value::Map(vec![(serde::Value::Str(tag.to_string()), inner)])
+        sink.map(1);
+        sink.str(tag);
+        // Each variant writes its own kind of node: a non-negative `I64`
+        // stays signed on the wire (`i64`'s impl would write it unsigned).
+        match self {
+            Value::U64(v) => sink.u64(*v),
+            Value::I64(v) => sink.i64(*v),
+            Value::F64(v) => sink.f64(*v),
+            Value::Bool(v) => sink.bool(*v),
+            Value::Str(v) => sink.str(v),
+        }
     }
 }
 
 impl serde::Deserialize for Value {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let entry = v
-            .as_map()
-            .filter(|m| m.len() == 1)
-            .and_then(<[(serde::Value, serde::Value)]>::first)
-            .ok_or_else(|| {
-                serde::de::Error::custom("telemetry value must be a single-entry tagged map")
-            })?;
-        let (tag, inner) = entry;
+    fn stream_from<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
+        let serde::Token::Map(1) = src.next()? else {
+            return Err(de::Error::custom(
+                "telemetry value must be a single-entry tagged map",
+            ));
+        };
+        let tag = serde::Value::stream_from(src)?;
         match tag.as_str() {
-            Some("U64") => Ok(Value::U64(serde::Deserialize::from_value(inner)?)),
-            Some("I64") => Ok(Value::I64(serde::Deserialize::from_value(inner)?)),
-            Some("F64") => Ok(Value::F64(serde::Deserialize::from_value(inner)?)),
-            Some("Bool") => Ok(Value::Bool(serde::Deserialize::from_value(inner)?)),
-            Some("Str") => Ok(Value::Str(serde::Deserialize::from_value(inner)?)),
-            _ => Err(serde::de::Error::custom(format!(
+            Some("U64") => u64::stream_from(src).map(Value::U64),
+            Some("I64") => i64::stream_from(src).map(Value::I64),
+            Some("F64") => f64::stream_from(src).map(Value::F64),
+            Some("Bool") => bool::stream_from(src).map(Value::Bool),
+            Some("Str") => String::stream_from(src).map(Value::Str),
+            _ => Err(de::Error::custom(format!(
                 "unknown telemetry value tag: {tag:?}"
             ))),
         }
@@ -278,63 +288,77 @@ impl serde::Deserialize for Value {
 }
 
 impl serde::Serialize for Event {
-    fn to_value(&self) -> serde::Value {
+    fn stream_to<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
         let Self {
             at,
             origin,
             name,
             fields,
         } = self;
-        let fields = fields
-            .iter()
-            .map(|(k, val)| {
-                serde::Value::Seq(vec![serde::Value::Str((*k).to_string()), val.to_value()])
-            })
-            .collect();
-        serde::Value::Map(vec![
-            (serde::Value::Str("at".to_string()), at.to_value()),
-            (serde::Value::Str("origin".to_string()), origin.to_value()),
-            (
-                serde::Value::Str("name".to_string()),
-                serde::Value::Str(name.to_string()),
-            ),
-            (
-                serde::Value::Str("fields".to_string()),
-                serde::Value::Seq(fields),
-            ),
-        ])
+        sink.map(4);
+        sink.str("at");
+        at.stream_to(sink);
+        sink.str("origin");
+        origin.stream_to(sink);
+        sink.str("name");
+        sink.str(name);
+        sink.str("fields");
+        sink.seq(fields.len());
+        for (k, val) in fields {
+            sink.seq(2);
+            sink.str(k);
+            val.stream_to(sink);
+        }
     }
 }
 
 impl serde::Deserialize for Event {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let name: String = serde::de::field(v, "name")?;
-        let raw_fields = v
-            .get("fields")
-            .and_then(serde::Value::as_seq)
-            .ok_or_else(|| serde::de::Error::custom("event: missing `fields` sequence"))?;
-        let mut fields = Vec::with_capacity(raw_fields.len());
-        for pair in raw_fields {
-            let (key, val) = match pair.as_seq() {
-                Some([k, val]) => (k, val),
-                _ => {
-                    return Err(serde::de::Error::custom(
-                        "event field must be a [key, value] pair",
-                    ))
-                }
-            };
-            let key = key
-                .as_str()
-                .ok_or_else(|| serde::de::Error::custom("event field key must be a string"))?;
-            fields.push((intern(key), <Value as serde::Deserialize>::from_value(val)?));
-        }
+    fn stream_from<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
+        let (mut name, mut fields, mut at, mut origin) = (None, None, None, None);
+        let mut f = de::Fields::read(
+            src,
+            ["name", "fields", "at", "origin"],
+            |f, src, i| match i {
+                0 => f.decode(src, &mut name),
+                1 => f.decode_with(src, &mut fields, event_fields),
+                2 => f.decode(src, &mut at),
+                _ => f.decode(src, &mut origin),
+            },
+        )?;
+        let name: String = f.take(0, name)?;
+        let fields = f.take_or(1, fields, missing_fields)?;
         Ok(Event {
-            at: serde::de::field(v, "at")?,
-            origin: serde::de::field(v, "origin")?,
+            at: f.take(2, at)?,
+            origin: f.take(3, origin)?,
             name: intern(&name),
             fields,
         })
     }
+}
+
+fn missing_fields() -> de::Error {
+    de::Error::custom("event: missing `fields` sequence")
+}
+
+/// An event's `fields`: a sequence of `[key, value]` pairs.
+fn event_fields<S: serde::Source + ?Sized>(
+    src: &mut S,
+) -> Result<Vec<(&'static str, Value)>, de::Error> {
+    let serde::Token::Seq(n) = src.next()? else {
+        return Err(missing_fields());
+    };
+    let mut fields = Vec::with_capacity(src.reserve(n));
+    for _ in 0..n {
+        let serde::Token::Seq(2) = src.next()? else {
+            return Err(de::Error::custom("event field must be a [key, value] pair"));
+        };
+        let serde::Token::Str(key) = src.next()? else {
+            return Err(de::Error::custom("event field key must be a string"));
+        };
+        let key = intern(key);
+        fields.push((key, Value::stream_from(src)?));
+    }
+    Ok(fields)
 }
 
 /// A sink for telemetry records.

@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 
 use glacsweb_sim::{CivilDate, SimTime};
+use serde::de;
+use serde::{Sink, Source, Token};
 
 use crate::{Event, Origin, Recorder, Value};
 
@@ -394,45 +396,53 @@ impl Recorder for MemoryRecorder {
 // rows in `BTreeMap` order, so the wire form is as deterministic as the
 // JSON export.
 impl serde::Serialize for Histogram {
-    fn to_value(&self) -> serde::Value {
+    fn stream_to<S: Sink + ?Sized>(&self, sink: &mut S) {
         let Self { counts, total, sum } = self;
-        serde::Value::Map(vec![
-            (serde::Value::Str("counts".to_string()), counts.to_value()),
-            (serde::Value::Str("total".to_string()), total.to_value()),
-            (serde::Value::Str("sum".to_string()), sum.to_value()),
-        ])
+        sink.map(3);
+        sink.str("counts");
+        counts.stream_to(sink);
+        sink.str("total");
+        total.stream_to(sink);
+        sink.str("sum");
+        sum.stream_to(sink);
     }
 }
 
 impl serde::Deserialize for Histogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let counts: Vec<u64> = serde::de::field(v, "counts")?;
+    fn stream_from<S: Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
+        let (mut counts, mut total, mut sum) = (None, None, None);
+        let mut f = de::Fields::read(src, ["counts", "total", "sum"], |f, src, i| match i {
+            0 => f.decode(src, &mut counts),
+            1 => f.decode(src, &mut total),
+            _ => f.decode(src, &mut sum),
+        })?;
+        let counts: Vec<u64> = f.take(0, counts)?;
         if !counts.is_empty() && counts.len() != BUCKET_BOUNDS.len() + 1 {
-            return Err(serde::de::Error::custom(format!(
+            return Err(de::Error::custom(format!(
                 "histogram has {} buckets, expected {} or none",
                 counts.len(),
                 BUCKET_BOUNDS.len() + 1
             )));
         }
-        let total: u64 = serde::de::field(v, "total")?;
+        let total: u64 = f.take(1, total)?;
         // Checked: crafted counts must fail as a typed error, not
         // overflow (a panic in debug, a wrap to a forged sum in release).
-        let sum = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
-        if sum != Some(total) {
-            return Err(serde::de::Error::custom(
+        let checked = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+        if checked != Some(total) {
+            return Err(de::Error::custom(
                 "histogram bucket counts do not sum to its total",
             ));
         }
         Ok(Histogram {
             counts,
             total,
-            sum: serde::de::field(v, "sum")?,
+            sum: f.take(2, sum)?,
         })
     }
 }
 
 impl serde::Serialize for MemoryRecorder {
-    fn to_value(&self) -> serde::Value {
+    fn stream_to<S: Sink + ?Sized>(&self, sink: &mut S) {
         let Self {
             events,
             max_events,
@@ -442,144 +452,153 @@ impl serde::Serialize for MemoryRecorder {
             gauges,
             histograms,
         } = self;
-        let label = |s: &str| serde::Value::Str(s.to_string());
-        let counters = counters
-            .iter()
-            .map(|((origin, name), v)| {
-                serde::Value::Seq(vec![origin.to_value(), label(name), v.to_value()])
-            })
-            .collect();
-        let daily = daily
-            .iter()
-            .map(|((date, origin, name), v)| {
-                serde::Value::Seq(vec![
-                    date.to_value(),
-                    origin.to_value(),
-                    label(name),
-                    v.to_value(),
-                ])
-            })
-            .collect();
-        let gauges = gauges
-            .iter()
-            .map(|((origin, name), (at, v))| {
-                serde::Value::Seq(vec![
-                    origin.to_value(),
-                    label(name),
-                    at.to_value(),
-                    v.to_value(),
-                ])
-            })
-            .collect();
-        let histograms = histograms
-            .iter()
-            .map(|((origin, name), h)| {
-                serde::Value::Seq(vec![origin.to_value(), label(name), h.to_value()])
-            })
-            .collect();
-        serde::Value::Map(vec![
-            (label("events"), events.to_value()),
-            (label("max_events"), serde::Value::U64(*max_events as u64)),
-            (label("events_dropped"), events_dropped.to_value()),
-            (label("counters"), serde::Value::Seq(counters)),
-            (label("daily"), serde::Value::Seq(daily)),
-            (label("gauges"), serde::Value::Seq(gauges)),
-            (label("histograms"), serde::Value::Seq(histograms)),
-        ])
+        sink.map(7);
+        sink.str("events");
+        events.stream_to(sink);
+        sink.str("max_events");
+        max_events.stream_to(sink);
+        sink.str("events_dropped");
+        events_dropped.stream_to(sink);
+        sink.str("counters");
+        sink.seq(counters.len());
+        for ((origin, name), v) in counters {
+            (origin, name, v).stream_to(sink);
+        }
+        sink.str("daily");
+        sink.seq(daily.len());
+        for ((date, origin, name), v) in daily {
+            (date, origin, name, v).stream_to(sink);
+        }
+        sink.str("gauges");
+        sink.seq(gauges.len());
+        for ((origin, name), (at, v)) in gauges {
+            (origin, name, at, v).stream_to(sink);
+        }
+        sink.str("histograms");
+        sink.seq(histograms.len());
+        for ((origin, name), h) in histograms {
+            (origin, name, h).stream_to(sink);
+        }
     }
 }
 
-/// Reads section `name` as a sequence of fixed-arity rows.
-fn rows<'v>(
-    v: &'v serde::Value,
-    name: &str,
+/// The recorder's fields, in the order restore checks them.
+const SECTIONS: [&str; 7] = [
+    "max_events",
+    "events",
+    "counters",
+    "daily",
+    "gauges",
+    "histograms",
+    "events_dropped",
+];
+
+fn missing_section(name: &str) -> de::Error {
+    de::Error::custom(format!("telemetry: missing `{name}` sequence"))
+}
+
+/// Reads section `name`: a sequence of `arity`-element rows, each read
+/// by `row` into one `(key, value)` entry of the map. A row of the wrong
+/// arity anywhere in the section outranks an error inside any row, and
+/// otherwise the first row's error wins, a duplicate `row_name` key
+/// included.
+fn section<S, K, V>(
+    src: &mut S,
+    (name, row_name): (&str, &str),
     arity: usize,
-) -> Result<Vec<&'v [serde::Value]>, serde::de::Error> {
-    v.get(name)
-        .and_then(serde::Value::as_seq)
-        .ok_or_else(|| serde::de::Error::custom(format!("telemetry: missing `{name}` sequence")))?
-        .iter()
-        .map(|row| {
-            row.as_seq().filter(|r| r.len() == arity).ok_or_else(|| {
-                serde::de::Error::custom(format!(
-                    "telemetry `{name}` row must have {arity} elements"
-                ))
-            })
-        })
-        .collect()
+    mut row: impl FnMut(&mut S) -> Result<(K, V), de::Error>,
+) -> Result<BTreeMap<K, V>, de::Error>
+where
+    S: Source + ?Sized,
+    K: Ord,
+{
+    let Token::Seq(n) = src.next()? else {
+        return Err(missing_section(name));
+    };
+    let mut map = BTreeMap::new();
+    let mut failed = None;
+    for _ in 0..n {
+        let depth = src.depth();
+        if !matches!(src.next()?, Token::Seq(len) if len == arity) {
+            return Err(de::Error::custom(format!(
+                "telemetry `{name}` row must have {arity} elements"
+            )));
+        }
+        if failed.is_none() {
+            failed = match row(src).map(|(k, v)| map.insert(k, v)) {
+                Ok(None) => None,
+                Ok(Some(_)) => Some(de::Error::custom(format!(
+                    "duplicate telemetry {row_name} key"
+                ))),
+                Err(e) => Some(e),
+            };
+        }
+        src.skip_to(depth)?;
+    }
+    failed.map_or(Ok(map), Err)
 }
 
-/// An interned label read from row position `idx`.
-fn label_at(row: &[serde::Value], idx: usize) -> Result<&'static str, serde::de::Error> {
-    row.get(idx)
-        .and_then(serde::Value::as_str)
-        .map(crate::intern)
-        .ok_or_else(|| serde::de::Error::custom("telemetry row label must be a string"))
-}
-
-/// A typed value read from row position `idx`.
-fn item_at<T: serde::Deserialize>(row: &[serde::Value], idx: usize) -> Result<T, serde::de::Error> {
-    let v = row
-        .get(idx)
-        .ok_or_else(|| serde::de::Error::custom("telemetry row is too short"))?;
-    T::from_value(v)
+/// An interned row label.
+fn label<S: Source + ?Sized>(src: &mut S) -> Result<&'static str, de::Error> {
+    match src.next()? {
+        Token::Str(s) => Ok(crate::intern(s)),
+        _ => Err(de::Error::custom("telemetry row label must be a string")),
+    }
 }
 
 impl serde::Deserialize for MemoryRecorder {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let max_events: u64 = serde::de::field(v, "max_events")?;
+    fn stream_from<S: Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
+        let (mut max_events, mut events, mut events_dropped) = (None, None, None);
+        let (mut counters, mut daily, mut gauges, mut histograms) = (None, None, None, None);
+        let mut f = de::Fields::read(src, SECTIONS, |f, src, i| match i {
+            0 => f.decode(src, &mut max_events),
+            1 => f.decode(src, &mut events),
+            2 => f.decode_with(src, &mut counters, |src| {
+                section(src, ("counters", "counter"), 3, |src| {
+                    let key = (Origin::stream_from(src)?, label(src)?);
+                    Ok((key, u64::stream_from(src)?))
+                })
+            }),
+            3 => f.decode_with(src, &mut daily, |src| {
+                section(src, ("daily", "daily"), 4, |src| {
+                    let date = CivilDate::stream_from(src)?;
+                    let key = (date, Origin::stream_from(src)?, label(src)?);
+                    Ok((key, u64::stream_from(src)?))
+                })
+            }),
+            4 => f.decode_with(src, &mut gauges, |src| {
+                section(src, ("gauges", "gauge"), 4, |src| {
+                    let key = (Origin::stream_from(src)?, label(src)?);
+                    let at = SimTime::stream_from(src)?;
+                    Ok((key, (at, f64::stream_from(src)?)))
+                })
+            }),
+            5 => f.decode_with(src, &mut histograms, |src| {
+                section(src, ("histograms", "histogram"), 3, |src| {
+                    let key = (Origin::stream_from(src)?, label(src)?);
+                    Ok((key, Histogram::stream_from(src)?))
+                })
+            }),
+            _ => f.decode(src, &mut events_dropped),
+        })?;
+        let max_events: u64 = f.take(0, max_events)?;
         let max_events = usize::try_from(max_events)
-            .map_err(|_| serde::de::Error::custom("telemetry max_events exceeds usize"))?;
-        let events: Vec<Event> = serde::de::field(v, "events")?;
+            .map_err(|_| de::Error::custom("telemetry max_events exceeds usize"))?;
+        let events: Vec<Event> = f.take(1, events)?;
         if events.len() > max_events {
-            return Err(serde::de::Error::custom(format!(
+            return Err(de::Error::custom(format!(
                 "telemetry holds {} events over its cap of {max_events}",
                 events.len()
             )));
         }
-        let mut counters = BTreeMap::new();
-        for row in rows(v, "counters", 3)? {
-            let key = (item_at::<Origin>(row, 0)?, label_at(row, 1)?);
-            if counters.insert(key, item_at::<u64>(row, 2)?).is_some() {
-                return Err(serde::de::Error::custom("duplicate telemetry counter key"));
-            }
-        }
-        let mut daily = BTreeMap::new();
-        for row in rows(v, "daily", 4)? {
-            let key = (
-                item_at::<CivilDate>(row, 0)?,
-                item_at::<Origin>(row, 1)?,
-                label_at(row, 2)?,
-            );
-            if daily.insert(key, item_at::<u64>(row, 3)?).is_some() {
-                return Err(serde::de::Error::custom("duplicate telemetry daily key"));
-            }
-        }
-        let mut gauges = BTreeMap::new();
-        for row in rows(v, "gauges", 4)? {
-            let key = (item_at::<Origin>(row, 0)?, label_at(row, 1)?);
-            let at = item_at::<SimTime>(row, 2)?;
-            let value = item_at::<f64>(row, 3)?;
-            if gauges.insert(key, (at, value)).is_some() {
-                return Err(serde::de::Error::custom("duplicate telemetry gauge key"));
-            }
-        }
-        let mut histograms = BTreeMap::new();
-        for row in rows(v, "histograms", 3)? {
-            let key = (item_at::<Origin>(row, 0)?, label_at(row, 1)?);
-            if histograms
-                .insert(key, item_at::<Histogram>(row, 2)?)
-                .is_some()
-            {
-                return Err(serde::de::Error::custom(
-                    "duplicate telemetry histogram key",
-                ));
-            }
-        }
+        let counters = f.take_or(2, counters, || missing_section("counters"))?;
+        let daily = f.take_or(3, daily, || missing_section("daily"))?;
+        let gauges = f.take_or(4, gauges, || missing_section("gauges"))?;
+        let histograms = f.take_or(5, histograms, || missing_section("histograms"))?;
         Ok(MemoryRecorder {
             events,
             max_events,
-            events_dropped: serde::de::field(v, "events_dropped")?,
+            events_dropped: f.take(6, events_dropped)?,
             counters,
             daily,
             gauges,

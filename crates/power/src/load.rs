@@ -57,19 +57,6 @@ pub struct LoadSet {
 // a name-keyed map. Restore goes through that map, so it keeps its
 // duplicate-key and error behaviour.
 impl Serialize for LoadSet {
-    fn to_value(&self) -> serde::Value {
-        let Self { loads, total: _ } = self;
-        let loads = loads
-            .iter()
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            .map(|(name, l)| (serde::Value::Str(name.clone()), l.to_value()))
-            .collect();
-        serde::Value::Map(vec![(
-            serde::Value::Str(String::from("loads")),
-            serde::Value::Map(loads),
-        )])
-    }
-
     fn stream_to<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
         let Self { loads, total: _ } = self;
         sink.map(1);
@@ -83,8 +70,10 @@ impl Serialize for LoadSet {
 }
 
 impl Deserialize for LoadSet {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let loads: BTreeMap<String, Load> = serde::de::field(v, "loads")?;
+    fn stream_from<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, serde::de::Error> {
+        let mut loads = None;
+        let mut f = serde::de::Fields::read(src, ["loads"], |f, src, _| f.decode(src, &mut loads))?;
+        let loads: BTreeMap<String, Load> = f.take(0, loads)?;
         Ok(LoadSet {
             loads: loads.into_iter().collect(),
             total: Derived::default(),

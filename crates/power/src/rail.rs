@@ -4,7 +4,7 @@ use std::cell::Cell;
 
 use glacsweb_env::Environment;
 use glacsweb_sim::{Amps, Celsius, Derived, SimDuration, SimTime, Volts, WattHours, Watts};
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Serialize, Sink, Source};
 
 use crate::battery::LeadAcidBattery;
 use crate::charger::{controller_taper, Charger};
@@ -69,7 +69,7 @@ pub struct PowerRail {
 // derive would write them as `null`). Restore re-checks the
 // `chargers`/`harvest_by` alignment invariant that `add_charger` maintains.
 impl Serialize for PowerRail {
-    fn to_value(&self) -> Value {
+    fn stream_to<S: Sink + ?Sized>(&self, sink: &mut S) {
         let Self {
             battery,
             chargers,
@@ -81,32 +81,48 @@ impl Serialize for PowerRail {
             output_buf: _,
             taper: _,
         } = self;
-        Value::Map(vec![
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("battery".to_string()), battery.to_value()),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("chargers".to_string()), chargers.to_value()),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("harvest_by".to_string()), harvest_by.to_value()),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("loads".to_string()), loads.to_value()),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("now".to_string()), now.to_value()),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("harvested".to_string()), harvested.to_value()),
-            (
-                // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-                Value::Str("brownout_secs".to_string()),
-                brownout_secs.to_value(),
-            ),
-        ])
+        sink.map(7);
+        sink.str("battery");
+        battery.stream_to(sink);
+        sink.str("chargers");
+        chargers.stream_to(sink);
+        sink.str("harvest_by");
+        harvest_by.stream_to(sink);
+        sink.str("loads");
+        loads.stream_to(sink);
+        sink.str("now");
+        now.stream_to(sink);
+        sink.str("harvested");
+        harvested.stream_to(sink);
+        sink.str("brownout_secs");
+        brownout_secs.stream_to(sink);
     }
 }
 
 impl Deserialize for PowerRail {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let chargers: Vec<Charger> = de::field(v, "chargers")?;
-        let harvest_by: Vec<WattHours> = de::field(v, "harvest_by")?;
+    fn stream_from<S: Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
+        let (mut chargers, mut harvest_by, mut battery, mut loads) = (None, None, None, None);
+        let (mut now, mut harvested, mut brownout_secs) = (None, None, None);
+        let names = [
+            "chargers",
+            "harvest_by",
+            "battery",
+            "loads",
+            "now",
+            "harvested",
+            "brownout_secs",
+        ];
+        let mut f = de::Fields::read(src, names, |f, src, i| match i {
+            0 => f.decode(src, &mut chargers),
+            1 => f.decode(src, &mut harvest_by),
+            2 => f.decode(src, &mut battery),
+            3 => f.decode(src, &mut loads),
+            4 => f.decode(src, &mut now),
+            5 => f.decode(src, &mut harvested),
+            _ => f.decode(src, &mut brownout_secs),
+        })?;
+        let chargers: Vec<Charger> = f.take(0, chargers)?;
+        let harvest_by: Vec<WattHours> = f.take(1, harvest_by)?;
         if chargers.len() != harvest_by.len() {
             // glacsweb: allow(perf-hygiene, reason = "restore-time error path; runs once per snapshot load, never per substep")
             return Err(de::Error::custom(format!(
@@ -116,13 +132,13 @@ impl Deserialize for PowerRail {
             )));
         }
         Ok(PowerRail {
-            battery: de::field(v, "battery")?,
+            battery: f.take(2, battery)?,
             chargers,
             harvest_by,
-            loads: de::field(v, "loads")?,
-            now: de::field(v, "now")?,
-            harvested: de::field(v, "harvested")?,
-            brownout_secs: de::field(v, "brownout_secs")?,
+            loads: f.take(3, loads)?,
+            now: f.take(4, now)?,
+            harvested: f.take(5, harvested)?,
+            brownout_secs: f.take(6, brownout_secs)?,
             output_buf: Derived::default(),
             taper: Derived::default(),
         })

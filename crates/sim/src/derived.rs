@@ -2,7 +2,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use serde::{de, Deserialize, Serialize, Sink, Source, Value};
+use serde::{de, Deserialize, Serialize, Sink, Source};
 
 /// A memo or cache: state that is a pure function of the rest of its
 /// owner and refills bit-identically on first use.
@@ -14,7 +14,7 @@ use serde::{de, Deserialize, Serialize, Sink, Source, Value};
 /// * `PartialEq` is always `true`, so a filled memo never makes two
 ///   otherwise-equal models differ (a restored model equals the one it
 ///   was saved from);
-/// * it serializes as `null` — both as a tree and streamed;
+/// * it serializes as a single `null`;
 /// * it deserializes from *any* well-formed value to `T::default()`,
 ///   skipping the value without building it.
 ///
@@ -26,12 +26,13 @@ use serde::{de, Deserialize, Serialize, Sink, Source, Value};
 /// use std::cell::Cell;
 ///
 /// use glacsweb_sim::Derived;
-/// use serde::{Serialize, Value};
+/// use glacsweb_snapshot::{from_bytes, to_bytes};
+/// use serde::Value;
 ///
 /// let filled: Derived<Cell<u64>> = Derived::default();
 /// filled.set(42);
 /// assert_eq!(filled.get(), 42);
-/// assert_eq!(filled.to_value(), Value::Null);
+/// assert_eq!(from_bytes::<Value>(&to_bytes(&filled)).ok(), Some(Value::Null));
 /// assert!(filled == Derived::default());
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -60,20 +61,12 @@ impl<T> PartialEq for Derived<T> {
 }
 
 impl<T> Serialize for Derived<T> {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-
     fn stream_to<S: Sink + ?Sized>(&self, sink: &mut S) {
         sink.null();
     }
 }
 
 impl<T: Default> Deserialize for Derived<T> {
-    fn from_value(_: &Value) -> Result<Self, de::Error> {
-        Ok(Derived::default())
-    }
-
     fn stream_from<S: Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
         src.skip()?;
         Ok(Derived::default())
@@ -86,6 +79,7 @@ mod tests {
 
     use glacsweb_snapshot::{crc32, from_bytes, to_bytes, HEADER_LEN, MAGIC, SCHEMA_VERSION};
     use proptest::prelude::*;
+    use serde::Value;
 
     use super::*;
 
@@ -115,8 +109,9 @@ mod tests {
         out
     }
 
-    /// The streamed decode against the tree decode of the same bytes:
-    /// `Ok(inner is default)` or the error message.
+    /// The binary decode against decoding the same bytes' `Value` tree
+    /// through a `ValueSource`: `Ok(inner is default)` or the error
+    /// message.
     fn decode_both(bytes: &[u8]) -> (Result<bool, String>, Result<bool, String>) {
         let is_default = |d: Derived<Memo>| *d == Memo::default();
         let streamed = from_bytes::<Derived<Memo>>(bytes)
@@ -124,7 +119,7 @@ mod tests {
             .map_err(|e| e.to_string());
         let tree = from_bytes::<Value>(bytes)
             .map_err(|e| e.to_string())
-            .and_then(|v| Derived::<Memo>::from_value(&v).map_err(|e| e.to_string()))
+            .and_then(|v| v.decode::<Derived<Memo>>().map_err(|e| e.to_string()))
             .map(is_default);
         (streamed, tree)
     }
@@ -166,7 +161,6 @@ mod tests {
             values in proptest::collection::vec(-1e9f64..1e9, 0..16),
         ) {
             let memo = filled(key, values);
-            prop_assert_eq!(memo.to_value(), Value::Null);
             prop_assert_eq!(to_bytes(&memo), to_bytes(&Value::Null));
         }
 

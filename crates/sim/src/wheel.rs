@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Serialize, Sink, Source, Token};
 
 use crate::time::SimTime;
 
@@ -172,24 +172,21 @@ impl<E> FromIterator<(SimTime, E)> for EventWheel<E> {
 // triple plus the monotone arrival counter so a restored wheel pops in
 // exactly the order the saved one would have.
 impl<E: Serialize> Serialize for EventWheel<E> {
-    fn to_value(&self) -> Value {
+    fn stream_to<S: Sink + ?Sized>(&self, sink: &mut S) {
         let Self { calendar, seq, len } = self;
-        let mut entries = Vec::with_capacity(*len);
+        sink.map(2);
+        sink.str("seq");
+        seq.stream_to(sink);
+        sink.str("entries");
+        sink.seq(*len);
         for (t, bucket) in calendar {
             for (tag, event) in bucket {
-                entries.push(Value::Seq(vec![
-                    t.to_value(),
-                    tag.to_value(),
-                    event.to_value(),
-                ]));
+                sink.seq(3);
+                t.stream_to(sink);
+                tag.stream_to(sink);
+                event.stream_to(sink);
             }
         }
-        Value::Map(vec![
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("seq".to_string()), seq.to_value()),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("entries".to_string()), Value::Seq(entries)),
-        ])
     }
 }
 
@@ -197,37 +194,24 @@ impl<E> Deserialize for EventWheel<E>
 where
     E: Deserialize,
 {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let seq: u64 = de::field(v, "seq")?;
-        let entries = v
-            .get("entries")
-            .and_then(Value::as_seq)
-            .ok_or_else(|| de::Error::custom("event wheel: missing `entries` sequence"))?;
-        let mut calendar: BTreeMap<SimTime, VecDeque<(u64, E)>> = BTreeMap::new();
-        let mut len = 0;
-        for entry in entries {
-            let s = entry
-                .as_seq()
-                .filter(|s| s.len() == 3)
-                .ok_or_else(|| de::Error::custom("event wheel entry must be [time, tag, event]"))?;
-            let (t_v, tag_v, event_v) = match s {
-                [t, tag, e] => (t, tag, e),
-                // Length was checked above; unreachable without panicking.
-                _ => return Err(de::Error::custom("event wheel entry must have 3 elements")),
-            };
-            let t = SimTime::from_value(t_v)?;
-            let tag = u64::from_value(tag_v)?;
-            if tag >= seq {
-                // glacsweb: allow(perf-hygiene, reason = "restore-time error path; runs once per snapshot load, never per substep")
-                return Err(de::Error::custom(format!(
-                    "event wheel entry tag {tag} not below arrival counter {seq}"
-                )));
+    fn stream_from<S: Source + ?Sized>(src: &mut S) -> Result<Self, de::Error> {
+        let (mut seq, mut entries) = (None, None);
+        let mut f = de::Fields::read(src, ["seq", "entries"], |f, src, i| {
+            if i == 0 {
+                f.decode(src, &mut seq)
+            } else {
+                let known = seq;
+                f.decode_with(src, &mut entries, |src| read_entries(src, known))
             }
-            calendar
-                .entry(t)
-                .or_default()
-                .push_back((tag, E::from_value(event_v)?));
-            len += 1;
+        })?;
+        let seq: u64 = f.take(0, seq)?;
+        let entries = f.take_or(1, entries, missing_entries)?;
+        let len = entries.len();
+        let mut calendar: BTreeMap<SimTime, VecDeque<(u64, E)>> = BTreeMap::new();
+        for (t, tag, event) in entries {
+            // Already checked unless `entries` came before `seq`.
+            check_tag(tag, seq)?;
+            calendar.entry(t).or_default().push_back((tag, event));
         }
         // Arrival tags must be strictly increasing within each bucket —
         // anything else would replay events in an order the saved run
@@ -245,6 +229,47 @@ where
         }
         Ok(EventWheel { calendar, seq, len })
     }
+}
+
+fn missing_entries() -> de::Error {
+    de::Error::custom("event wheel: missing `entries` sequence")
+}
+
+/// Every `(instant, tag, event)` in wire order, each tag checked against
+/// the arrival counter `seq` if it has been read already.
+fn read_entries<E, S>(src: &mut S, seq: Option<u64>) -> Result<Vec<(SimTime, u64, E)>, de::Error>
+where
+    E: Deserialize,
+    S: Source + ?Sized,
+{
+    let Token::Seq(n) = src.next()? else {
+        return Err(missing_entries());
+    };
+    let mut entries = Vec::with_capacity(src.reserve(n));
+    for _ in 0..n {
+        let Token::Seq(3) = src.next()? else {
+            return Err(de::Error::custom(
+                "event wheel entry must be [time, tag, event]",
+            ));
+        };
+        let t = SimTime::stream_from(src)?;
+        let tag = u64::stream_from(src)?;
+        if let Some(seq) = seq {
+            check_tag(tag, seq)?;
+        }
+        entries.push((t, tag, E::stream_from(src)?));
+    }
+    Ok(entries)
+}
+
+fn check_tag(tag: u64, seq: u64) -> Result<(), de::Error> {
+    if tag < seq {
+        return Ok(());
+    }
+    // glacsweb: allow(perf-hygiene, reason = "restore-time error path; runs once per snapshot load, never per substep")
+    Err(de::Error::custom(format!(
+        "event wheel entry tag {tag} not below arrival counter {seq}"
+    )))
 }
 
 #[cfg(test)]

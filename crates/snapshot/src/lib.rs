@@ -8,17 +8,19 @@
 //! 8       4     schema version, u32 LE
 //! 12      8     payload length, u64 LE
 //! 20      4     CRC-32 (IEEE) of the payload, u32 LE
-//! 24      n     payload: binary-encoded serde::Value tree
+//! 24      n     payload: binary-encoded serde node stream
 //! ```
 //!
-//! The payload is the wire [`Value`](serde::Value) tree of whatever implements
-//! [`Serialize`]; floats travel as their IEEE-754 bit pattern so a
-//! round-trip is bit-identical, which is what lets a restored deployment
-//! replay the exact golden-hash trajectory of an uninterrupted run.
-//! Neither direction builds that tree: [`to_bytes`] streams the value's
-//! nodes ([`Serialize::stream_to`]) straight into the output buffer, and
-//! [`from_bytes`] pulls typed values straight out of the payload
-//! ([`Deserialize::stream_from`]) through a validating token reader.
+//! The payload is the binary encoding of the nodes a value streams (the
+//! serde data model: null, bool, i64, u64, f64, string, and sequences
+//! and maps announced by length); floats travel as their IEEE-754 bit
+//! pattern so a round-trip is bit-identical, which is what lets a
+//! restored deployment replay the exact golden-hash trajectory of an
+//! uninterrupted run. [`to_bytes`] streams the value
+//! ([`Serialize::stream_to`]) straight into the output buffer, and
+//! [`from_bytes`] pulls the value straight out of the payload
+//! ([`Deserialize::stream_from`]) through a validating token reader —
+//! the only codec path either way.
 //!
 //! Durability rules:
 //!
@@ -234,7 +236,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Binary Value codec. One-byte type tag, little-endian fixed-width
+// Binary node codec. One-byte type tag, little-endian fixed-width
 // numbers, u64 lengths. Floats travel as raw bits: encode/decode is a
 // bit-identical round trip even for -0.0 and the quiet NaNs the models
 // never produce but a corrupted file might.
@@ -249,7 +251,7 @@ const TAG_STR: u8 = 6;
 const TAG_SEQ: u8 = 7;
 const TAG_MAP: u8 = 8;
 
-/// Appends the binary encoding of each streamed [`Value`] node.
+/// Appends the binary encoding of each streamed node.
 struct Encoder<'a>(&'a mut Vec<u8>);
 
 impl Encoder<'_> {
@@ -486,8 +488,8 @@ impl Source for Decoder<'_> {
 /// checksummed payload).
 ///
 /// One buffer: the header goes in with zeroed length and CRC fields, the
-/// payload streams in behind it straight from `value` (no intermediate
-/// [`Value`](serde::Value) tree), and the two fields are patched once it is complete.
+/// payload streams in behind it straight from `value`, and the two
+/// fields are patched once it is complete.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
@@ -511,13 +513,10 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// that fails names the failure; nothing panics.
 ///
 /// The last two layers run in one pass: `T` is read straight from the
-/// payload through a validating token reader, with no [`Value`] tree in
-/// between. The order still holds because the structural walk always
-/// finishes: if the typed decode stops early, the rest of the payload is
-/// still read and checked, and a structural fault anywhere outranks the
-/// typed error.
-///
-/// [`Value`]: serde::Value
+/// payload through a validating token reader. The order still holds
+/// because the structural walk always finishes: if the typed decode
+/// stops early, the rest of the payload is still read and checked, and
+/// a structural fault anywhere outranks the typed error.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
     let mut decoder = Decoder::new(payload(bytes)?);
     let typed = T::stream_from(&mut decoder);

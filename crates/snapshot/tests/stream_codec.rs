@@ -1,17 +1,20 @@
-//! The streamed codec against the tree it replaced, for generated
-//! `Value` trees and for derived types of every shape the vendored
-//! derive supports:
+//! The binary codec against reference tree walks, for generated `Value`
+//! trees and for derived types of every shape the vendored derive
+//! supports:
 //!
-//! * `to_bytes` must produce exactly the bytes of encoding the
-//!   `to_value()` tree node by node;
-//! * `from_bytes` must decode exactly what the pre-streaming tree decoder
+//! * `to_bytes` of a `Value` must produce exactly the reference
+//!   encoding of the tree, and the payload of any type must read back
+//!   through the reference decoder into a tree that encodes to the same
+//!   bytes;
+//! * `from_bytes` must decode exactly what the reference decoder
 //!   decodes, failing with the same message where it fails;
-//! * a typed `from_bytes` must return what `from_value` returns for the
-//!   decoded tree — also for maps with reordered, duplicated, unknown,
-//!   missing or ill-typed entries, where the error reported first must be
-//!   the one `de::field` extraction in declaration order reports.
+//! * a typed `from_bytes` must return what the same type returns when
+//!   read from the reference decoder's tree through a `ValueSource` —
+//!   also for maps with reordered, duplicated, unknown, missing or
+//!   ill-typed entries, where the error reported first must be the first
+//!   missing or failed field in declaration order.
 //!
-//! The reference encoder and decoder below are the pre-streaming tree
+//! The reference encoder and decoder below are plain recursive tree
 //! walks, kept here as oracles only.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -144,11 +147,12 @@ fn seal(payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// The tree path for `T`: the oracle decoder, then `from_value`, with
-/// structural faults reported as `Malformed` ahead of typed errors.
+/// The tree path for `T`: the oracle decoder, then `T` read from the
+/// tree, with structural faults reported as `Malformed` ahead of typed
+/// errors.
 fn tree_path<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
     let tree = decode_tree(payload).map_err(|e| format!("Malformed: {e}"))?;
-    T::from_value(&tree).map_err(|e| format!("Invalid: {e}"))
+    tree.decode().map_err(|e| format!("Invalid: {e}"))
 }
 
 /// `from_bytes::<T>` on a sealed `payload`, errors in `tree_path`'s form.
@@ -174,18 +178,21 @@ fn assert_decodes_agree<T: Deserialize>(
     Ok(())
 }
 
-/// Asserts that streaming `x` gives the tree encoding of `x.to_value()`,
-/// and that the envelope decodes back to a tree that re-encodes the same.
+/// Asserts that the oracle decoder reads `x`'s payload as a tree that
+/// the oracle encoder and `to_bytes` both write back byte for byte, and
+/// that `from_bytes` reads the same tree.
 fn assert_stream_matches_tree<T: Serialize>(x: &T) -> Result<(), TestCaseError> {
     let bytes = to_bytes(x);
-    let mut tree = Vec::new();
-    encode_tree(&x.to_value(), &mut tree);
-    prop_assert!(bytes[HEADER_LEN..] == tree[..], "streamed payload differs");
-    prop_assert!(bytes == to_bytes(&x.to_value()), "envelope differs");
-    let decoded: Value = from_bytes(&bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let tree = decode_tree(&bytes[HEADER_LEN..]).map_err(TestCaseError::fail)?;
     let mut again = Vec::new();
-    encode_tree(&decoded, &mut again);
-    prop_assert!(again == tree, "decode/re-encode differs");
+    encode_tree(&tree, &mut again);
+    prop_assert!(
+        bytes[HEADER_LEN..] == again[..],
+        "tree re-encodes differently"
+    );
+    prop_assert!(bytes == to_bytes(&tree), "envelope differs");
+    let decoded: Value = from_bytes(&bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    prop_assert!(to_bytes(&decoded) == bytes, "decode/re-encode differs");
     Ok(())
 }
 
@@ -462,6 +469,9 @@ proptest! {
 
     #[test]
     fn value_trees_stream_as_they_encode(v in AnyValue { depth: 4 }) {
+        let mut tree = Vec::new();
+        encode_tree(&v, &mut tree);
+        prop_assert!(payload_of(&v) == tree, "streamed payload differs");
         assert_stream_matches_tree(&v)?;
     }
 
@@ -504,7 +514,7 @@ proptest! {
     #[test]
     fn mangled_maps_fail_as_field_extraction_fails(r in AnyRecord, seed in Seed) {
         let mut rng = TestRng::deterministic(seed);
-        let mut tree = r.to_value();
+        let mut tree = decode_tree(&payload_of(&r)).map_err(TestCaseError::fail)?;
         for _ in 0..=(seed % 3) {
             mangle(&mut tree, &mut rng);
         }
@@ -525,8 +535,7 @@ proptest! {
 #[test]
 fn scalars_keep_their_tree_variants() {
     // Non-negative signed integers travel as U64 and f32 widens to f64,
-    // as in `to_value`; pin the tag bytes so a drift in both paths at
-    // once is still caught.
+    // as serde_json writes them; pin the tag bytes.
     let tag = |x: &dyn Fn() -> Vec<u8>| x()[HEADER_LEN];
     assert_eq!(tag(&|| to_bytes(&5i32)), 4);
     assert_eq!(tag(&|| to_bytes(&-5i32)), 3);
